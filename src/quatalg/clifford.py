@@ -19,7 +19,7 @@ import random
 
 from . import linalg
 from .algebras import AlgebraError, StructureConstantAlgebra
-from .forms import discriminant
+from .forms import FormError, discriminant
 
 MAX_FORM_DIM = 8
 
@@ -182,6 +182,8 @@ def extract_E(form):
     m = 2 the corner carries a marked quaternion presentation
     (``symbol`` / ``symbol_generators`` attributes).
     """
+    if form.dim % 2:
+        raise FormError("dimension must be even")
     d = discriminant(form)
     if not d.trivial:
         raise CliffordError(

@@ -1,7 +1,8 @@
-"""Even-dimensional nonsingular quadratic forms in both characteristics.
+"""Nonsingular quadratic forms in both characteristics.
 
 Characteristic 2 forms are orthogonal sums of binary blocks [a, b] meaning
-a u^2 + u v + b v^2; other characteristics use diagonal forms <a_1, ..., a_2m>.
+a u^2 + u v + b v^2, so they have even dimension; other characteristics use
+diagonal forms <a_1, ..., a_n> of any dimension.
 Forms are never auto-normalized: invariants are computed on demand so that
 user-entered presentations survive into chain and slot certificates.
 """
@@ -13,7 +14,6 @@ from dataclasses import dataclass, field as dc_field
 
 from . import linalg, localglobal
 from .fields import (
-    FieldError,
     FiniteField,
     FunctionField,
     LaurentField,
@@ -48,8 +48,6 @@ class QuadraticForm:
                     raise FormError("char-2 forms need (a, b) pairs")
             self.dim = 2 * len(coeffs)
         else:
-            if len(coeffs) % 2 != 0:
-                raise FormError("dimension must be even")
             if any(field.is_zero(a) for a in coeffs):
                 raise FormError("diagonal entries must be nonzero")
             self.dim = len(coeffs)
@@ -167,7 +165,7 @@ def discriminant(f: QuadraticForm) -> DiscriminantClass:
         rep = F.sum_(F.mul(a, b) for a, b in f.coeffs)
         trivial = F.artin_schreier_solve(rep)[0]
         return DiscriminantClass(True, rep, trivial)
-    m = f.dim // 2
+    m = f.dim // 2  # n(n-1)/2 has the parity of n // 2
     rep = F.one()
     for a in f.coeffs:
         rep = F.mul(rep, a)
@@ -199,12 +197,39 @@ def is_isotropic(f: QuadraticForm, search_bound=None) -> IsotropyResult:
         return IsotropyResult(False, None, "empty")
     if F.finite:
         return _isotropic_finite(f)
+    status, method = _decide(f)
+    if status is False:
+        return IsotropyResult(False, None, method)
     if isinstance(F, Rationals):
-        return _isotropic_global(f, search_bound or 30)
+        w = _search_zero_integer(f, search_bound or 30)
+    else:
+        w = _search_zero_poly(f, search_bound or 3)
+    if status is True:
+        return IsotropyResult(True, w, _witnessed(method, w))
+    if w is not None:
+        return IsotropyResult(True, w, "bounded-search")
+    return IsotropyResult(None, None, "unknown-up-to-bound")
+
+
+def _witnessed(method, w):
+    return method if w else method + "; witness budget exhausted"
+
+
+def _decide(f):
+    """Local-global verdict on the isotropy of f over an infinite field:
+    (True / False / None, method)."""
+    F = f.field
+    coeffs = list(f.coeffs)
     if isinstance(F, LaurentField):
-        return _isotropic_laurent(f, search_bound or 3)
+        if F.char != 2:
+            return localglobal.springer_isotropic_local(F, coeffs), "springer"
+        return localglobal.char2_laurent_isotropic(F, coeffs), "springer"
+    if isinstance(F, Rationals) or (isinstance(F, FunctionField) and F.char != 2):
+        return localglobal.is_isotropic_global(F, coeffs), "hasse-minkowski"
     if isinstance(F, FunctionField):
-        return _isotropic_function_field(f, search_bound or 3)
+        # char 2: anisotropy over GF(q)((t)) implies anisotropy over GF(q)(t)
+        local = localglobal.char2_laurent_isotropic(LaurentField(F.base, F.var), coeffs)
+        return (False if local is False else None), "springer-laurent"
     raise FormError("no isotropy decision over %s" % F.name)
 
 
@@ -225,59 +250,7 @@ def _isotropic_finite(f):
         v = list(vals) + [zero] * (n - coords)
         if F.is_zero(f.evaluate(v)):
             return IsotropyResult(True, v, "enumeration")
-    if n <= coords:
-        return IsotropyResult(False, None, "enumeration")
-    return IsotropyResult(False, None, "enumeration")  # unreachable for n > 3
-
-
-def _isotropic_global(f, height):
-    F = f.field
-    flag = localglobal.is_isotropic_global(F, list(f.coeffs))
-    if not flag:
-        return IsotropyResult(False, None, "hasse-minkowski")
-    w = _search_zero_integer(f, height)
-    return IsotropyResult(True, w, "hasse-minkowski" + ("" if w else "; witness budget exhausted"))
-
-
-def _isotropic_function_field(f, degree_bound):
-    F = f.field
-    if F.char != 2:
-        flag = localglobal.is_isotropic_global(F, list(f.coeffs))
-        if not flag:
-            return IsotropyResult(False, None, "hasse-minkowski")
-        w = _search_zero_poly(f, degree_bound)
-        return IsotropyResult(True, w, "hasse-minkowski" + ("" if w else "; witness budget exhausted"))
-    # char 2: a witness settles it; otherwise anisotropy over GF(q)((t))
-    # implies anisotropy over GF(q)(t)
-    w = _search_zero_poly(f, degree_bound)
-    if w is not None:
-        return IsotropyResult(True, w, "bounded-search")
-    L = LaurentField(F.base, F.var)
-    g = QuadraticForm(L, f.coeffs, f.char2)
-    local = localglobal.char2_laurent_isotropic(L, list(g.coeffs))
-    if local is False:
-        return IsotropyResult(False, None, "springer-laurent")
-    return IsotropyResult(None, None, "unknown-up-to-bound")
-
-
-def _isotropic_laurent(f, degree_bound):
-    F = f.field
-    if F.char != 2:
-        flag = localglobal.springer_isotropic_local(F, list(f.coeffs))
-        if not flag:
-            return IsotropyResult(False, None, "springer")
-        w = _search_zero_poly(f, degree_bound)
-        return IsotropyResult(True, w, "springer" + ("" if w else "; witness budget exhausted"))
-    local = localglobal.char2_laurent_isotropic(F, list(f.coeffs))
-    if local is True:
-        w = _search_zero_poly(f, degree_bound)
-        return IsotropyResult(True, w, "springer" + ("" if w else "; witness budget exhausted"))
-    if local is False:
-        return IsotropyResult(False, None, "springer")
-    w = _search_zero_poly(f, degree_bound)
-    if w is not None:
-        return IsotropyResult(True, w, "bounded-search")
-    return IsotropyResult(None, None, "unknown-up-to-bound")
+    return IsotropyResult(False, None, "enumeration")
 
 
 def _search_zero_integer(f, height):
@@ -310,19 +283,10 @@ def _search_zero_integer(f, height):
 def _search_zero_poly(f, degree_bound):
     """Bounded search over polynomial vectors for function-field zeros."""
     F = f.field
-    B = F.base
-    import itertools as it
-    from . import polynomials as P
-
-    cands = [F.zero()]
-    for d in range(degree_bound + 1):
-        for tail in it.product(B.elements(), repeat=d):
-            for lead in B.nonzero_elements():
-                cands.append(F.from_poly(P.normalize(B, tail + (lead,))))
-    n = f.dim
+    cands = _poly_candidates(F, degree_bound)
     budget = 200000
     count = 0
-    for vec in it.product(range(len(cands)), repeat=n):
+    for vec in itertools.product(range(len(cands)), repeat=f.dim):
         count += 1
         if count > budget:
             return None
@@ -332,6 +296,19 @@ def _search_zero_poly(f, degree_bound):
         if F.is_zero(f.evaluate(v)):
             return v
     return None
+
+
+def _poly_candidates(F, degree_bound):
+    """0, then the polynomials of degree <= degree_bound over F's base."""
+    from . import polynomials as P
+
+    B = F.base
+    cands = [F.zero()]
+    for d in range(degree_bound + 1):
+        for tail in itertools.product(B.elements(), repeat=d):
+            for lead in B.nonzero_elements():
+                cands.append(F.from_poly(P.normalize(B, tail + (lead,))))
+    return cands
 
 
 # ----------------------------------------------------------------------
@@ -512,12 +489,10 @@ def is_isometric(f: QuadraticForm, g: QuadraticForm) -> bool:
         s = f.orthogonal_sum(g if f.char2 else g.negated())
         dec = witt_decompose(s)
         return dec.index * 2 == s.dim
-    if isinstance(F, Rationals):
-        return _isometric_invariants_q(f, g)
     if isinstance(F, LaurentField) and F.char != 2:
         return _isometric_invariants_laurent(f, g)
-    if isinstance(F, FunctionField) and F.char != 2:
-        return _isometric_invariants_fqt(f, g)
+    if isinstance(F, Rationals) or (isinstance(F, FunctionField) and F.char != 2):
+        return _isometric_invariants_global(f, g)
     # fall back to the Witt route; may raise UndecidableError
     s = f.orthogonal_sum(g if f.char2 else g.negated())
     dec = witt_decompose(s)
@@ -529,34 +504,20 @@ def _disc_ratio_square(F, f, g):
     return F.is_square(F.mul(df, dg))[0]  # d_f/d_g square iff d_f*d_g square
 
 
-def _isometric_invariants_q(f, g):
-    """Classification over Q: dimension, discriminant, signature, and the
-    Hasse invariant at every (bad) place."""
+def _isometric_invariants_global(f, g):
+    """Classification over Q or GF(q)(t): dimension, discriminant, the Hasse
+    invariant at every (bad) finite place and, over Q, the signature."""
     F = f.field
     if not _disc_ratio_square(F, f, g):
         return False
-    sig_f = (sum(1 for a in f.coeffs if a > 0), sum(1 for a in f.coeffs if a < 0))
-    sig_g = (sum(1 for a in g.coeffs if a > 0), sum(1 for a in g.coeffs if a < 0))
-    if sig_f != sig_g:
+    if isinstance(F, Rationals) and \
+            sum(a > 0 for a in f.coeffs) != sum(a > 0 for a in g.coeffs):
         return False
-    places = {p for p in localglobal.bad_places(F, list(f.coeffs))}
+    places = set(localglobal.bad_places(F, list(f.coeffs)))
     places.update(localglobal.bad_places(F, list(g.coeffs)))
     for v in places:
         if v.kind == "real":
             continue
-        if localglobal.hasse_invariant(F, list(f.coeffs), v) != \
-                localglobal.hasse_invariant(F, list(g.coeffs), v):
-            return False
-    return True
-
-
-def _isometric_invariants_fqt(f, g):
-    F = f.field
-    if not _disc_ratio_square(F, f, g):
-        return False
-    places = {p for p in localglobal.bad_places(F, list(f.coeffs))}
-    places.update(localglobal.bad_places(F, list(g.coeffs)))
-    for v in places:
         if localglobal.hasse_invariant(F, list(f.coeffs), v) != \
                 localglobal.hasse_invariant(F, list(g.coeffs), v):
             return False
@@ -675,96 +636,21 @@ def represents(f: QuadraticForm, c, search_bound=None):
 
 
 def _represents_by_isotropy(f, c, search_bound):
-    """f anisotropic, char != 2: f represents c iff f _|_ <-c, c> has Witt
-    index 2 ... decided directly via the odd-rank local criteria on
-    f _|_ <-c>."""
+    """f anisotropic, char != 2: f represents c iff <-c> _|_ f is isotropic,
+    and every zero (x_0, x) of <-c> _|_ f has x_0 != 0, giving f(x / x_0) = c."""
     F = f.field
-    diag = list(f.coeffs) + [F.neg(c)]
+    g = QuadraticForm(F, (F.neg(c),) + f.coeffs, False)
     if F.finite:
-        g = _OddDiag(F, diag)
-        res = _odd_isotropic_finite(g)
-        if not res[0]:
-            return IsotropyResult(False, None, "enumeration")
-        v = res[1]
-        lam = v[-1]
-        w = [F.div(x, lam) for x in v[:-1]]
-        return IsotropyResult(True, w, "enumeration")
-    if isinstance(F, Rationals) or (isinstance(F, FunctionField)
-                                    and not isinstance(F, LaurentField) and F.char != 2):
-        flag = _odd_isotropic_global(F, diag)
-        if not flag:
-            return IsotropyResult(False, None, "hasse-minkowski")
-        w = _search_representation(f, c, search_bound)
-        return IsotropyResult(True, w, "hasse-minkowski" + ("" if w else "; witness budget exhausted"))
-    if isinstance(F, LaurentField) and F.char != 2:
-        flag = localglobal.springer_isotropic_local(F, diag) or _odd_laurent_extra(F, diag)
-        if not flag:
-            return IsotropyResult(False, None, "springer")
-        w = _search_representation(f, c, search_bound)
-        return IsotropyResult(True, w, "springer" + ("" if w else "; witness budget exhausted"))
+        res = _isotropic_finite(g)
+        if res.status:
+            v = res.witness
+            res.witness = [F.div(x, v[0]) for x in v[1:]]
+        return res
+    status, method = _decide(g)
+    if status is False:
+        return IsotropyResult(False, None, method)
     w = _search_representation(f, c, search_bound)
-    if w is not None:
-        return IsotropyResult(True, w, "bounded-search")
-    return IsotropyResult(None, None, "unknown-up-to-bound")
-
-
-def _odd_laurent_extra(F, diag):
-    return localglobal.springer_isotropic_local(F, diag)
-
-
-class _OddDiag:
-    """Internal odd-dimensional diagonal helper (witness search only)."""
-
-    def __init__(self, field, diag):
-        self.field = field
-        self.coeffs = tuple(diag)
-        self.dim = len(diag)
-
-    def evaluate(self, v):
-        F = self.field
-        total = F.zero()
-        for a, x in zip(self.coeffs, v):
-            total = F.add(total, F.mul(a, F.mul(x, x)))
-        return total
-
-
-def _odd_isotropic_finite(g):
-    F = g.field
-    els = list(F.elements())
-    coords = min(g.dim, 3)
-    # a zero must use the last coordinate (f itself is anisotropic), so
-    # enumerate over the last coordinate plus up to two of the others
-    n = g.dim
-    for last in els:
-        if F.is_zero(last):
-            continue
-        idx_pairs = itertools.combinations(range(n - 1), min(2, n - 1))
-        for idx in idx_pairs:
-            for vals in itertools.product(els, repeat=len(idx)):
-                v = [F.zero()] * n
-                v[-1] = last
-                for i, x in zip(idx, vals):
-                    v[i] = x
-                if F.is_zero(g.evaluate(v)):
-                    return True, v
-    del coords
-    return False, None
-
-
-def _odd_isotropic_global(F, diag):
-    """Isotropy of an odd-rank diagonal form over Q or GF(q)(t), q odd."""
-    n = len(diag)
-    if n == 1:
-        return False
-    places = localglobal.bad_places(F, diag)
-    if n == 3:
-        return all(localglobal.is_isotropic_local(F, diag, v) for v in places)
-    if n >= 5:
-        if isinstance(F, Rationals):
-            return localglobal.is_isotropic_local(F, diag, localglobal.Place.real())
-        return True
-    # n even handled elsewhere
-    return localglobal.is_isotropic_global(F, diag)
+    return IsotropyResult(True, w, _witnessed(method, w))
 
 
 def _represents_search(f, c, search_bound):
@@ -801,16 +687,7 @@ def _search_representation(f, c, search_bound):
                 if F.eq(f.evaluate(list(vec)), target):
                     return [F.div(x, den) for x in vec]
         return None
-    # function fields: polynomial numerators over a polynomial denominator
-    from . import polynomials as P
-
-    B = F.base
-    bound = search_bound or 2
-    cands = [F.zero()]
-    for d in range(bound + 1):
-        for tail in itertools.product(B.elements(), repeat=d):
-            for lead in B.nonzero_elements():
-                cands.append(F.from_poly(P.normalize(B, tail + (lead,))))
+    cands = _poly_candidates(F, search_bound or 2)
     budget = 200000
     count = 0
     for vec in itertools.product(cands, repeat=f.dim):

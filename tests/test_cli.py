@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -39,6 +40,41 @@ def test_form_invariants_and_witt(capsys):
     assert code == 0 and payload["dim"] == 4
     code, payload, _ = run(capsys, "form", "witt", "--json", form)
     assert code == 0 and payload["verified"] is True
+
+
+def test_form_invariants_odd_rank(capsys):
+    # the README's first example
+    form = json.dumps({"field": Q_FIELD, "char2": False,
+                       "diag": ["1", "-1", "2"]})
+    code, payload, _ = run(capsys, "form", "invariants", "--json", form)
+    assert code == 0 and payload["dim"] == 3
+    assert payload["discriminant"] == {"representative": "2",
+                                       "trivial": False}
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "cli_golden.json")
+
+
+def test_cli_golden_output(capsys):
+    """Byte-exact stdout and exit codes of form isotropic / form witt
+    requests covering every isotropy method string (enumeration,
+    hasse-minkowski, springer, springer-laurent, bounded-search, witness
+    budget exhausted) and of quat iso over Q."""
+    with open(GOLDEN) as fh:
+        cases = json.load(fh)
+    for case in cases:
+        code = main(case["argv"])
+        out = capsys.readouterr().out
+        assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
+
+
+def test_clifford_odd_rank_exit_3(capsys):
+    form = json.dumps({"field": Q_FIELD, "char2": False,
+                       "diag": ["1", "1", "1"]})
+    for sub in ("build", "extract-e"):
+        code, payload, err = run(capsys, "clifford", sub, "--form", form)
+        assert code == 3 and payload is None
+        assert "input error" in err
 
 
 def test_form_trivialize(capsys):

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatalg.fields import FiniteField, FunctionField, LaurentField, Rationals
 from quatalg.forms import (
@@ -281,3 +283,42 @@ def test_universality_of_trivial_disc_forms_over_f3t():
         res = represents(f, target, search_bound=1)
         assert res.status is not False, (f, target)
         tried += 1
+
+
+F9 = FiniteField(3, 2)
+
+
+def _zero_by_enumeration(F, diag, target):
+    """Some nonzero x with sum a_i x_i^2 = target, by full enumeration."""
+    for x in itertools.product(list(F.elements()), repeat=len(diag)):
+        if all(F.is_zero(c) for c in x):
+            continue
+        value = F.zero()
+        for a, c in zip(diag, x):
+            value = F.add(value, F.mul(a, F.mul(c, c)))
+        if F.eq(value, target):
+            return x
+    return None
+
+
+@given(st.sampled_from([F3, F5, F9]), st.integers(1, 5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_any_rank_isotropy_and_representation_match_enumeration(F, n, data):
+    units = list(F.nonzero_elements())
+    diag = tuple(data.draw(st.sampled_from(units)) for _ in range(n))
+    c = data.draw(st.sampled_from(units))
+    f = QuadraticForm(F, diag, False)
+
+    res = is_isotropic(f)
+    assert res.status is (_zero_by_enumeration(F, diag, F.zero()) is not None)
+    if res.status:
+        assert not all(F.is_zero(x) for x in res.witness)
+        assert F.is_zero(f.evaluate(res.witness))
+
+    rep = represents(f, c)
+    assert rep.status is (_zero_by_enumeration(F, diag, c) is not None)
+    if rep.status:
+        assert F.eq(f.evaluate(rep.witness), c)
+
+    dec = witt_decompose(f)
+    assert dec.verify() and 2 * dec.index + dec.anisotropic.dim == n

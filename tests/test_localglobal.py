@@ -101,12 +101,7 @@ def test_global_isotropy_matches_brute_force():
             a = q(rng.randint(-10, 10))
             if a != 0:
                 diag.append(a)
-        if n % 2 == 1:
-            from quatalg.forms import _odd_isotropic_global
-
-            flag = _odd_isotropic_global(Q, diag)
-        else:
-            flag = is_isotropic_global(Q, diag)
+        flag = is_isotropic_global(Q, diag)
         found = None
         import itertools
 
