@@ -235,19 +235,28 @@ def find_commuting_link(x, t, budget=SEARCH_BUDGET, avoid=()):
 # -- solving for twisted partners inside subspaces ------------------------
 
 
-def _subspace_solutions(A, rows, rhs=None):
-    """Solve the stacked linear system on coordinates; returns
-    (particular, homogeneous_basis) as elements (particular None if
-    homogeneous or unsolvable)."""
+def _solve_in_span(A, rows, rhs=None, span=None):
+    """Solve rows * w = rhs (rhs None: rows * w = 0) for w in the row span
+    of span (None: all of A).  Returns (particular, homogeneous_basis) as
+    elements; particular is None when rhs is None or there is no
+    solution."""
     F = A.field
-    hom = [A.element(v) for v in linalg.kernel_basis(F, rows)]
-    if rhs is None:
-        return None, hom
-    part = linalg.solve(F, rows, rhs)
-    return (A.element(part) if part is not None else None), hom
+    if span is not None:
+        cols = [[row[i] for row in span] for i in range(A.dim)]
+        rows = linalg.mat_mul(F, rows, cols)
+
+    def lift(coeffs):
+        if span is not None:
+            coeffs = linalg.mat_mul(F, [coeffs], span)[0]
+        return A.element(coeffs)
+
+    hom = [lift(v) for v in linalg.kernel_basis(F, rows)]
+    part = None if rhs is None else linalg.solve(F, rows, rhs)
+    return (None if part is None else lift(part)), hom
 
 
-def _anticommute_rows(A, x):
+def _sum_rows(A, x):
+    """Matrix of w -> xw + wx."""
     F = A.field
     return [[F.add(l, r) for l, r in zip(lrow, rrow)]
             for lrow, rrow in zip(A.left_mult_matrix(x),
@@ -255,15 +264,16 @@ def _anticommute_rows(A, x):
 
 
 def _twist_rows(A, x):
-    """Matrix of w -> xw + wx - w (zero exactly on the char-2 twist
-    eigenspace)."""
+    """Matrix of w -> xw + wx, minus w in characteristic 2.  Its kernel is
+    the space of twisted partners of x: wx = -xw (char != 2) resp.
+    xw + wx = w (char 2), the one relation in which the two cases
+    differ."""
     F = A.field
-    ident = linalg.identity(F, A.dim)
-    return [
-        [F.sub(F.add(l, r), i) for l, r, i in zip(lrow, rrow, irow)]
-        for lrow, rrow, irow in zip(A.left_mult_matrix(x),
-                                    A.right_mult_matrix(x), ident)
-    ]
+    rows = _sum_rows(A, x)
+    if F.char == 2:
+        for i, row in enumerate(rows):
+            row[i] = F.sub(row[i], F.one())
+    return rows
 
 
 def _commute_rows(A, x):
@@ -353,31 +363,12 @@ def decompose_with_marked_elements(A, x, xp, budget=SEARCH_BUDGET):
             raise ChainError("marked elements must be square-central")
 
     # find the partner of x inside what will become Q1
-    if not char2:
-        rows = _anticommute_rows(A, x) + _commute_rows(A, xp)
-        _, hom = _subspace_solutions(A, rows)
-        y1 = _search_square_unit(A, None, hom, budget)
-        if y1 is None:
-            raise SearchExhausted("no twisted partner for the first marked "
-                                  "element within budget")
-        q1_gens = (x, y1)
-        s1 = QuaternionSymbol(F, cx.value, (y1 * y1).central_value())
-    elif cx.kind == ElementClass.ARTIN_SCHREIER:
-        rows = _twist_rows(A, x) + _commute_rows(A, xp)
-        _, hom = _subspace_solutions(A, rows)
-        y1 = _search_square_unit(A, None, hom, budget)
-        if y1 is None:
-            raise SearchExhausted("no twisted partner for the first marked "
-                                  "element within budget")
-        q1_gens = (x, y1)
-        s1 = QuaternionSymbol(F, cx.value, (y1 * y1).central_value(),
-                              char2=True)
-    else:
+    if char2 and cx.kind == ElementClass.SQUARE_CENTRAL:
         # x square-central: find Artin-Schreier w with wx + xw = x,
         # commuting with xp; then Q1 = F[w, x] with x in the y-slot
-        rows = _anticommute_rows(A, x) + _commute_rows(A, xp)
+        rows = _sum_rows(A, x) + _commute_rows(A, xp)
         rhs = list(x.coords) + [F.zero()] * A.dim
-        part, hom = _subspace_solutions(A, rows, rhs)
+        part, hom = _solve_in_span(A, rows, rhs)
         if part is None:
             raise ChainError("the twist equation w*x + x*w = x has no "
                              "solution")
@@ -386,8 +377,15 @@ def decompose_with_marked_elements(A, x, xp, budget=SEARCH_BUDGET):
             raise SearchExhausted("no Artin-Schreier partner for the "
                                   "square-central marked element")
         q1_gens = (w1, x)
-        s1 = QuaternionSymbol(F, (w1 * w1 + w1).central_value(), cx.value,
-                              char2=True)
+        s1 = QuaternionSymbol(F, (w1 * w1 + w1).central_value(), cx.value)
+    else:
+        _, hom = _solve_in_span(A, _twist_rows(A, x) + _commute_rows(A, xp))
+        y1 = _search_square_unit(A, None, hom, budget)
+        if y1 is None:
+            raise SearchExhausted("no twisted partner for the first marked "
+                                  "element within budget")
+        q1_gens = (x, y1)
+        s1 = QuaternionSymbol(F, cx.value, (y1 * y1).central_value())
 
     # Q2 = centralizer of Q1; xp lies in it by construction
     c2 = centralizer(A, list(q1_gens))
@@ -397,39 +395,24 @@ def decompose_with_marked_elements(A, x, xp, budget=SEARCH_BUDGET):
     span2 = linalg.row_space_basis(F, [list(v.coords) for v in c2])
     if linalg.in_span(F, span2, list(xp.coords)) is None:
         raise ChainError("second marked element escaped its factor")
-    y2 = _partner_in_subspace(A, span2, xp, char2, budget)
+    y2 = _twisted_sc(A, [xp], budget, span=span2)
     if y2 is None:
         raise SearchExhausted("no twisted partner for the second marked "
                               "element within budget")
-    if char2:
-        s2 = QuaternionSymbol(F, cxp.value, (y2 * y2).central_value(),
-                              char2=True)
-    else:
-        s2 = QuaternionSymbol(F, cxp.value, (y2 * y2).central_value())
+    s2 = QuaternionSymbol(F, cxp.value, (y2 * y2).central_value())
     return TensorPresentation([s1, s2], algebra=A,
                               generators=[q1_gens, (xp, y2)])
 
 
-def _partner_in_subspace(A, span, x, char2, budget=SEARCH_BUDGET):
-    """y in the given subspace with y^2 a central unit and y x = -x y
-    (char != 2) resp. x y + y x = y (char 2)."""
-    F = A.field
-    rows = _twist_rows(A, x) if char2 else _anticommute_rows(A, x)
-    # intersect: y in span and rows*y = 0
-    constraints = list(rows)
-    # membership in span: y must be a combination of span rows; solve in
-    # span coordinates instead
-    k = len(span)
-    cols = [[span[j][i] for j in range(k)] for i in range(A.dim)]
-    small = linalg.mat_mul(F, constraints, cols)
-    hom = linalg.kernel_basis(F, small)
-    hom_elems = []
-    for coeffs in hom:
-        v = [F.zero()] * A.dim
-        for c, row in zip(coeffs, span):
-            v = [F.add(a, F.mul(c, b)) for a, b in zip(v, row)]
-        hom_elems.append(A.element(v))
-    return _search_square_unit(A, None, hom_elems, budget)
+def _twisted_sc(A, elems, budget=SEARCH_BUDGET, span=None):
+    """A square-central y, in the row span of span if given, twisted by
+    every v in elems: v y = -y v (char != 2) resp. v y + y v = y
+    (char 2)."""
+    rows = []
+    for v in elems:
+        rows.extend(_twist_rows(A, v))
+    _, hom = _solve_in_span(A, rows, span=span)
+    return _search_square_unit(A, None, hom, budget)
 
 
 def find_anticommuting_link(P, x, xp):
@@ -437,26 +420,23 @@ def find_anticommuting_link(P, x, xp):
     and xp of another, the product z of their twisted partners: z
     anticommutes with both (char != 2) or satisfies the twist relation
     with both (char 2)."""
-    A = P.algebra
-    F = A.field
-    char2 = F.char == 2
     iy = _locate_factor(P, x)
     jy = _locate_factor(P, xp)
     if iy is None or jy is None or iy == jy:
         raise ChainError("marked elements must be generators of distinct "
                          "factors")
-    y = _factor_partner(P, iy, x, char2)
-    yp = _factor_partner(P, jy, xp, char2)
+    y = _factor_partner(P, iy, x)
+    yp = _factor_partner(P, jy, xp)
     z = y * yp
-    _check_link(z, x, xp, char2)
+    _check_link(z, x, xp)
     return z
 
 
-def _check_link(z, x, xp, char2):
+def _check_link(z, x, xp):
     cls = classify(z)
     if cls.kind != ElementClass.SQUARE_CENTRAL:
         raise ChainError("link element is not square-central")
-    if char2:
+    if z.algebra.field.char == 2:
         if not (x * z + z * x == z and xp * z + z * xp == z):
             raise ChainError("twist relations fail for the link element")
     else:
@@ -464,30 +444,30 @@ def _check_link(z, x, xp, char2):
             raise ChainError("anticommutation fails for the link element")
 
 
+def _factor_span(P, i):
+    """Row basis of the span of 1, x, y, xy for factor i."""
+    A = P.algebra
+    gx, gy = P.generators[i]
+    return linalg.row_space_basis(A.field, [
+        list(A.one().coords), list(gx.coords), list(gy.coords),
+        list((gx * gy).coords)])
+
+
 def _locate_factor(P, v):
     """Index of the factor whose 4-dimensional span contains v."""
-    A = P.algebra
-    F = A.field
-    for i, (gx, gy) in enumerate(P.generators):
-        span = linalg.row_space_basis(F, [
-            list(A.one().coords), list(gx.coords), list(gy.coords),
-            list((gx * gy).coords)])
-        if linalg.in_span(F, span, list(v.coords)) is not None:
+    F = P.algebra.field
+    for i in range(len(P.generators)):
+        if linalg.in_span(F, _factor_span(P, i), list(v.coords)) is not None:
             return i
     return None
 
 
-def _factor_partner(P, i, x, char2, budget=SEARCH_BUDGET):
+def _factor_partner(P, i, x, budget=SEARCH_BUDGET):
     """Twisted partner of x inside factor i of the presentation."""
-    A = P.algebra
-    F = A.field
     gx, gy = P.generators[i]
     if x == gx:
         return gy
-    span = linalg.row_space_basis(F, [
-        list(A.one().coords), list(gx.coords), list(gy.coords),
-        list((gx * gy).coords)])
-    y = _partner_in_subspace(A, span, x, char2, budget)
+    y = _twisted_sc(P.algebra, [x], budget, span=_factor_span(P, i))
     if y is None:
         raise SearchExhausted("no twisted partner inside the factor")
     return y
@@ -513,38 +493,21 @@ def mixed_link(P, x, xp, budget=SEARCH_BUDGET):
     if x == gy:
         w = gx
     else:
-        span = linalg.row_space_basis(F, [
-            list(A.one().coords), list(gx.coords), list(gy.coords),
-            list((gx * gy).coords)])
-        k = len(span)
-        cols = [[span[r][c] for r in range(k)] for c in range(A.dim)]
-        rows = _anticommute_rows(A, x)  # w x + x w = x
-        small = linalg.mat_mul(F, rows, cols)
-        rhs = list(x.coords)
-        part = linalg.solve(F, small, rhs)
+        part, hom = _solve_in_span(A, _sum_rows(A, x), list(x.coords),
+                                   _factor_span(P, i))
         if part is None:
             raise ChainError("no solution to the twist equation in the "
                              "factor")
-        hom = linalg.kernel_basis(F, small)
-
-        def lift(coeffs):
-            v = [F.zero()] * A.dim
-            for c, row in zip(coeffs, span):
-                v = [F.add(a, F.mul(c, b)) for a, b in zip(v, row)]
-            return A.element(v)
-
-        base = lift(part)
-        w = _search_square_unit(A, base, [lift(h) for h in hom], budget,
-                                artin_schreier=True)
+        w = _search_square_unit(A, part, hom, budget, artin_schreier=True)
         if w is None:
             raise SearchExhausted("no Artin-Schreier element twisting the "
                                   "square-central marker")
     if w * x + x * w != x:
         raise ChainError("twist relation w x + x w = x fails")
-    y = _factor_partner(P, i, w, True, budget)
-    yp = _factor_partner(P, j, xp, True, budget)
+    y = _factor_partner(P, i, w, budget)
+    yp = _factor_partner(P, j, xp, budget)
     z = y * yp
-    _check_link(z, w, xp, True)
+    _check_link(z, w, xp)
     return z, w
 
 
@@ -608,24 +571,14 @@ class Chain:
         }
 
 
-def _anticommuting_sc(A, x, extra=(), budget=SEARCH_BUDGET):
-    """A square-central element anticommuting with x (and with every
-    element of extra)."""
-    rows = _anticommute_rows(A, x)
-    for e in extra:
-        rows = rows + _anticommute_rows(A, e)
-    _, hom = _subspace_solutions(A, rows)
-    return _search_square_unit(A, None, hom, budget)
-
-
 def _anticommuting_sc_candidates(A, elems, rng, tries=40, limit=12):
     """Several distinct square-central elements anticommuting with every
     element of elems."""
     F = A.field
     rows = []
     for e in elems:
-        rows.extend(_anticommute_rows(A, e))
-    _, hom = _subspace_solutions(A, rows)
+        rows.extend(_twist_rows(A, e))
+    _, hom = _solve_in_span(A, rows)
 
     out = []
 
@@ -654,34 +607,16 @@ def _anticommuting_sc_candidates(A, elems, rng, tries=40, limit=12):
     return out
 
 
-def _twisting_sc(A, elems, budget=SEARCH_BUDGET):
-    """char 2: square-central y with v y + y v = y for every v in elems."""
-    rows = []
-    for v in elems:
-        rows.extend(_twist_rows(A, v))
-    _, hom = _subspace_solutions(A, rows)
-    return _search_square_unit(A, None, hom, budget)
-
-
 def _link_between(x, z, budget=SEARCH_BUDGET):
-    """char != 2 anticommuting link between commuting square-central x, z."""
+    """Square-central link twisted by both of the commuting marked
+    elements x, z (square-central, char != 2; Artin-Schreier, char 2)."""
     A = x.algebra
     if in_quadratic_span(x, z):
-        y = _anticommuting_sc(A, x, (z,), budget)
+        y = _twisted_sc(A, [x, z], budget)
         if y is None:
-            raise SearchExhausted("no anticommuting square-central element")
-        return y
-    P = decompose_with_marked_elements(A, x, z, budget)
-    return find_anticommuting_link(P, x, z)
-
-
-def _char2_link_between(x, z, budget=SEARCH_BUDGET):
-    """char 2 square-central link between commuting Artin-Schreier x, z."""
-    A = x.algebra
-    if in_quadratic_span(x, z):
-        y = _twisting_sc(A, [x, z], budget)
-        if y is None:
-            raise SearchExhausted("no twisting square-central element")
+            raise SearchExhausted(
+                "no %s square-central element"
+                % ("twisting" if A.field.char == 2 else "anticommuting"))
         return y
     P = decompose_with_marked_elements(A, x, z, budget)
     return find_anticommuting_link(P, x, z)
@@ -691,21 +626,23 @@ def chain(x, xp, budget=SEARCH_BUDGET):
     """A chain between two square-central (char != 2) or Artin-Schreier
     (char 2) elements of a degree-4 algebra, per-link verified."""
     A = x.algebra
-    F = A.field
-    if F.char != 2:
-        return _chain_charne2(A, x, xp, budget)
-    return _chain_char2(A, x, xp, budget)
-
-
-def _chain_charne2(A, x, xp, budget):
+    char2 = A.field.char == 2
+    kind, name = ((ElementClass.ARTIN_SCHREIER, "Artin-Schreier") if char2
+                  else (ElementClass.SQUARE_CENTRAL, "square-central"))
     for v in (x, xp):
-        if classify(v).kind != ElementClass.SQUARE_CENTRAL:
-            raise ChainError("endpoints must be square-central")
+        if classify(v).kind != kind:
+            raise ChainError("endpoints must be %s" % name)
     if x == xp:
         c = Chain([x])
         if not c.verify():
             raise ChainError("trivial chain failed verification")
         return c
+    if char2:
+        return _chain_char2(A, x, xp, budget)
+    return _chain_charne2(A, x, xp, budget)
+
+
+def _chain_charne2(A, x, xp, budget):
     if x * xp == -(xp * x):
         c = Chain([x, xp])
         if not c.verify():
@@ -745,7 +682,7 @@ def _chain_charne2(A, x, xp, budget):
                     return c
     for x1 in lefts:
         for x3 in rights:
-            x2 = _anticommuting_sc(A, x1, (x3,), budget)
+            x2 = _twisted_sc(A, [x1, x3], budget)
             if x2 is None:
                 continue
             c = Chain([x, x1, x2, x3, xp])
@@ -755,15 +692,7 @@ def _chain_charne2(A, x, xp, budget):
 
 
 def _chain_char2(A, x, xp, budget):
-    for v in (x, xp):
-        if classify(v).kind != ElementClass.ARTIN_SCHREIER:
-            raise ChainError("endpoints must be Artin-Schreier")
-    if x == xp:
-        c = Chain([x])
-        if not c.verify():
-            raise ChainError("trivial chain failed verification")
-        return c
-    y_direct = _twisting_sc(A, [x, xp], min(budget, 500))
+    y_direct = _twisted_sc(A, [x, xp], min(budget, 500))
     if y_direct is not None:
         c = Chain([x, xp], [y_direct])
         if c.verify():
@@ -775,8 +704,8 @@ def _chain_char2(A, x, xp, budget):
         z = None
     if z is not None and classify(z).kind == ElementClass.ARTIN_SCHREIER:
         try:
-            y1 = _char2_link_between(x, z, budget)
-            y2 = _char2_link_between(z, xp, budget)
+            y1 = _link_between(x, z, budget)
+            y2 = _link_between(z, xp, budget)
             c = Chain([x, z, xp], [y1, y2])
             if c.verify():
                 return c
@@ -802,10 +731,10 @@ def _chain_char2(A, x, xp, budget):
         x1 = _quadratic_inside(w)
         if x1 is None or classify(x1).kind != ElementClass.ARTIN_SCHREIER:
             continue
-        y1 = _twisting_sc(A, [x, x1], min(budget, 500))
+        y1 = _twisted_sc(A, [x, x1], min(budget, 500))
         if y1 is None:
             continue
-        y2 = _twisting_sc(A, [x1, xp], min(budget, 500))
+        y2 = _twisted_sc(A, [x1, xp], min(budget, 500))
         if y2 is None:
             continue
         c = Chain([x, x1, xp], [y1, y2])

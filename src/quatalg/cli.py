@@ -347,10 +347,10 @@ def cmd_verify_suite(args):
 
 def _common(p):
     p.add_argument("--seed", type=int, default=0,
-                   help="seed echoed into deterministic searches")
+                   help="accepted and ignored: every search is seeded "
+                        "internally, so output never depends on it")
     p.add_argument("--out", help="write the JSON result to this path")
     p.add_argument("--max-height", type=int, default=None)
-    p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--max-nodes", type=int, default=None)
 
 

@@ -203,7 +203,7 @@ def is_isotropic(f: QuadraticForm, search_bound=None) -> IsotropyResult:
     if isinstance(F, Rationals):
         w = _search_zero_integer(f, search_bound or 30)
     else:
-        w = _search_zero_poly(f, search_bound or 3)
+        w = _search_poly(f, F.zero(), search_bound or 3)
     if status is True:
         return IsotropyResult(True, w, _witnessed(method, w))
     if w is not None:
@@ -280,8 +280,10 @@ def _search_zero_integer(f, height):
     return None
 
 
-def _search_zero_poly(f, degree_bound):
-    """Bounded search over polynomial vectors for function-field zeros."""
+def _search_poly(f, c, degree_bound):
+    """Bounded search over nonzero polynomial vectors v with f(v) = c, in
+    candidate order, for function-field zeros (c = 0) and
+    representations."""
     F = f.field
     cands = _poly_candidates(F, degree_bound)
     budget = 200000
@@ -293,7 +295,7 @@ def _search_zero_poly(f, degree_bound):
         if all(i == 0 for i in vec):
             continue
         v = [cands[i] for i in vec]
-        if F.is_zero(f.evaluate(v)):
+        if F.eq(f.evaluate(v), c):
             return v
     return None
 
@@ -687,16 +689,7 @@ def _search_representation(f, c, search_bound):
                 if F.eq(f.evaluate(list(vec)), target):
                     return [F.div(x, den) for x in vec]
         return None
-    cands = _poly_candidates(F, search_bound or 2)
-    budget = 200000
-    count = 0
-    for vec in itertools.product(cands, repeat=f.dim):
-        count += 1
-        if count > budget:
-            return None
-        if F.eq(f.evaluate(list(vec)), c):
-            return list(vec)
-    return None
+    return _search_poly(f, c, search_bound or 2)
 
 
 # ----------------------------------------------------------------------

@@ -441,27 +441,16 @@ def char2_laurent_isotropic(L, pairs):
 def _char2_finite_blocks_isotropic(B, blocks):
     if not blocks:
         return False
+    if len(blocks) > 1:
+        # dim >= 4 nonsingular over a finite field is always isotropic
+        return True
     import itertools
 
-    els = list(B.elements())
-    n = 2 * len(blocks)
-    coords = min(n, 3)
-
-    def value(vec):
-        total = B.zero()
-        for i, (a, b) in enumerate(blocks):
-            u = vec[2 * i] if 2 * i < len(vec) else B.zero()
-            v = vec[2 * i + 1] if 2 * i + 1 < len(vec) else B.zero()
-            term = B.add(B.add(B.mul(a, B.mul(u, u)), B.mul(u, v)), B.mul(b, B.mul(v, v)))
-            total = B.add(total, term)
-        return total
-
-    for vec in itertools.product(els, repeat=coords):
-        if all(B.is_zero(x) for x in vec):
+    (a, b), = blocks
+    for u, v in itertools.product(list(B.elements()), repeat=2):
+        if B.is_zero(u) and B.is_zero(v):
             continue
-        if B.is_zero(value(vec)):
+        value = B.add(B.add(B.mul(a, B.mul(u, u)), B.mul(u, v)), B.mul(b, B.mul(v, v)))
+        if B.is_zero(value):
             return True
-    if n <= 3:
-        return False
-    # dim >= 4 nonsingular over a finite field is always isotropic
-    return True
+    return False

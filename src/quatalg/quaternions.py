@@ -117,22 +117,20 @@ def realize(symbol):
                                  (one, zero, zero, zero))
     A.symbol = symbol
     A.symbol_generators = (A.basis_element(1), A.basis_element(2))
-    _check_realization(A)
+    if not _relations_hold(A, symbol, *A.symbol_generators):
+        raise QuaternionError("realization fails its defining relations")
     return A
 
 
-def _check_realization(A):
-    s = A.symbol
-    F = A.field
-    x, y = A.symbol_generators
+def _relations_hold(A, s, x, y):
+    """The defining relations of the symbol s on x, y in A: x^2 = a,
+    y^2 = b, yx = -xy (char != 2) resp. x^2 + x = a, y^2 = b, yx = xy + y
+    (char 2)."""
     if s.char2:
-        ok = (x * x + x == A.scalar(s.a) and y * y == A.scalar(s.b)
-              and y * x == x * y + y)
-    else:
-        ok = (x * x == A.scalar(s.a) and y * y == A.scalar(s.b)
-              and y * x == -(x * y))
-    if not ok:
-        raise QuaternionError("realization fails its defining relations")
+        return (x * x + x == A.scalar(s.a) and y * y == A.scalar(s.b)
+                and y * x == x * y + y)
+    return (x * x == A.scalar(s.a) and y * y == A.scalar(s.b)
+            and y * x == -(x * y))
 
 
 def _symbol_basis(A):
@@ -236,23 +234,12 @@ def _find_artin_schreier_element(B, a, budget=20000):
     return None
 
 
-def _twisting_partner(B, X, b, char2):
+def _twisting_partner(B, X, b):
     """Y with Y^2 = b and YX = -XY (char != 2) resp. XY + YX = Y (char 2)."""
+    from .chains import _twist_rows
+
     F = B.field
-    if char2:
-        rows = [
-            [F.sub(F.add(l, r), i) for l, r, i in zip(lrow, rrow, irow)]
-            for lrow, rrow, irow in zip(B.left_mult_matrix(X),
-                                        B.right_mult_matrix(X),
-                                        linalg.identity(F, B.dim))
-        ]
-    else:
-        rows = [
-            [F.add(l, r) for l, r in zip(lrow, rrow)]
-            for lrow, rrow in zip(B.left_mult_matrix(X),
-                                  B.right_mult_matrix(X))
-        ]
-    space = [B.element(v) for v in linalg.kernel_basis(F, rows)]
+    space = [B.element(v) for v in linalg.kernel_basis(F, _twist_rows(B, X))]
     if not space:
         return None
     target = B.scalar(b)
@@ -331,7 +318,7 @@ def isomorphism_between_realizations(A, B, budget=20000):
         X = _find_square_root_element(B, sa.a)
     if X is None:
         return None
-    Y = _twisting_partner(B, X, sa.b, sa.char2)
+    Y = _twisting_partner(B, X, sa.b)
     if Y is None:
         return None
     phi = _matrix_from_generator_images(A, B, X, Y)
@@ -472,15 +459,8 @@ class TensorPresentation:
     def verify(self):
         A = self.algebra
         for s, (x, y) in zip(self.symbols, self.generators):
-            if s.char2:
-                if not (x * x + x == A.scalar(s.a)
-                        and y * y == A.scalar(s.b)
-                        and y * x == x * y + y):
-                    return False
-            else:
-                if not (x * x == A.scalar(s.a) and y * y == A.scalar(s.b)
-                        and y * x == -(x * y)):
-                    return False
+            if not _relations_hold(A, s, x, y):
+                return False
         for i, (xi, yi) in enumerate(self.generators):
             for j, (xj, yj) in enumerate(self.generators):
                 if i < j:

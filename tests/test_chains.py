@@ -228,6 +228,46 @@ def test_mixed_link():
     assert xp * z + z * xp == z
 
 
+def _conjugated(P, seed):
+    """P with every generator conjugated by one seeded invertible element."""
+    A = P.algebra
+    rng = random.Random(seed)
+    while True:
+        u = A.random_element(rng, 4)
+        uinv = u.inverse()
+        if uinv is not None:
+            break
+    gens = [(u * x * uinv, u * y * uinv) for x, y in P.generators]
+    return TensorPresentation(P.symbols, algebra=A, generators=gens)
+
+
+def test_links_pinned_char3():
+    """The link found for a marked element that is not a generator."""
+    P = _conjugated(TensorPresentation([
+        QuaternionSymbol(F3, F3.one(), F3.one()),
+        QuaternionSymbol(F3, F3.from_int(2), F3.from_int(2))]), 3)
+    (x1, y1), (x2, _) = P.generators
+    z = find_anticommuting_link(P, x1 + y1, x2)
+    assert list(z.fmt()) == ["0", "2", "0", "0", "2", "0", "0", "0",
+                             "0", "0", "1", "1", "0", "0", "0", "1"]
+
+
+def test_links_pinned_char2():
+    w = F4.generator()
+    P = _conjugated(TensorPresentation([
+        QuaternionSymbol(F4, w, F4.one(), char2=True),
+        QuaternionSymbol(F4, F4.one(), w, char2=True)]), 3)
+    (x1, y1), (x2, y2) = P.generators
+    z = find_anticommuting_link(P, x1 + y1, x2 + y2)
+    assert list(z.fmt()) == ["1", "1", "w", "w+1", "w", "0", "0", "1",
+                             "w", "1", "1", "w", "w+1", "w+1", "w+1", "0"]
+    z, v = mixed_link(P, y1.scale(w), x2 + y2)
+    assert list(z.fmt()) == ["w", "w+1", "w", "0", "1", "0", "w", "w+1",
+                             "w+1", "w", "1", "1", "w+1", "w", "w", "0"]
+    assert list(v.fmt()) == ["0", "w+1", "w+1", "0", "0", "0", "w+1", "w",
+                             "1", "1", "w+1", "w+1", "1", "w+1", "w+1", "1"]
+
+
 def test_tensor_chain_via_common_element():
     P = biquaternion()
     A = P.algebra

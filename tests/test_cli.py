@@ -59,7 +59,10 @@ def test_cli_golden_output(capsys):
     """Byte-exact stdout and exit codes of form isotropic / form witt
     requests covering every isotropy method string (enumeration,
     hasse-minkowski, springer, springer-laurent, bounded-search, witness
-    budget exhausted) and of quat iso over Q."""
+    budget exhausted), of quat iso over Q, of algebra decompose on each
+    pair of marked classes (both square-central in characteristic 3; both
+    Artin-Schreier, and square-central with Artin-Schreier, in
+    characteristic 2) and of algebra chain in characteristics 3 and 2."""
     with open(GOLDEN) as fh:
         cases = json.load(fh)
     for case in cases:

@@ -285,6 +285,19 @@ def test_universality_of_trivial_disc_forms_over_f3t():
         tried += 1
 
 
+def test_represents_witness_pinned_over_f3t():
+    """The polynomial witness search returns its first hit in candidate
+    order: <1, t+1> represents t^3 + 2t + 1 as (t, 2t+1)."""
+    F3t = FunctionField(F3)
+    t = F3t.t()
+    f = QuadraticForm(F3t, (F3t.one(), F3t.add(t, F3t.one())), False)
+    c = F3t.add(F3t.mul(t, F3t.mul(t, t)),
+                F3t.add(F3t.mul(F3t.from_int(2), t), F3t.one()))
+    res = represents(f, c)
+    assert res.status is True and res.method == "hasse-minkowski"
+    assert [F3t.fmt(x) for x in res.witness] == ["t", "2*t+1"]
+
+
 F9 = FiniteField(3, 2)
 
 
