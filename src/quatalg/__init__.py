@@ -66,7 +66,6 @@ from .localglobal import (
     hilbert_symbol,
     is_isotropic_global,
     is_isotropic_local,
-    springer_isotropic_local,
 )
 from .quaternions import (
     CommonSlotChain,
@@ -99,7 +98,7 @@ __all__ = [
     "quaternion_norm_form", "represents", "trivialize_discriminant",
     "witt_decompose",
     "Place", "hasse_invariant", "hilbert_symbol", "is_isotropic_global",
-    "is_isotropic_local", "springer_isotropic_local",
+    "is_isotropic_local",
     "CommonSlotChain", "QuaternionError", "QuaternionSymbol", "SlotChain",
     "TensorPresentation", "are_isomorphic", "common_slot_chain",
     "common_slot_chain_tensor", "is_division_symbol", "realize",

@@ -491,7 +491,7 @@ def _zero_divisor_from(a):
     return u, v
 
 
-def find_zero_divisor(A, rng=None, budget=2000):
+def find_zero_divisor(A, budget=2000):
     """A pair (u, v) of nonzero elements with u*v = 0, or None."""
     if A.dim == 1:
         return None
@@ -499,7 +499,7 @@ def find_zero_divisor(A, rng=None, budget=2000):
     for i in range(A.dim):
         for j in range(i + 1, A.dim):
             candidates.append(A.basis_element(i) + A.basis_element(j))
-    rng = rng or random.Random(0)
+    rng = random.Random(0)
     tried = 0
     for a in candidates:
         pair = _zero_divisor_from(a)
@@ -529,7 +529,7 @@ class DivisionResult:
         return "DivisionResult(%r, method=%r)" % (self.status, self.method)
 
 
-def is_division(A, rng=None, budget=2000):
+def is_division(A, budget=2000):
     if A.dim == 1:
         return DivisionResult(True, method="trivial")
     F = A.field
@@ -537,7 +537,7 @@ def is_division(A, rng=None, budget=2000):
         from .quaternions import division_via_norm_form
 
         return division_via_norm_form(A)
-    pair = find_zero_divisor(A, rng, budget)
+    pair = find_zero_divisor(A, budget)
     if pair is not None:
         return DivisionResult(False, pair, "zero-divisor")
     if hasattr(F, "elements"):
@@ -555,7 +555,7 @@ def is_division(A, rng=None, budget=2000):
             return DivisionResult(True, method="exhaustive")
         if not is_commutative(A):
             # a finite division ring is commutative, so keep searching
-            rng = rng or random.Random(1)
+            rng = random.Random(1)
             for _ in range(50 * budget):
                 pair = _zero_divisor_from(A.random_element(rng))
                 if pair is not None:
@@ -615,19 +615,19 @@ def matrix_algebra_m2(F):
         (F.one(), F.zero(), F.zero(), F.one()))
 
 
-def split_as_m2(A, rng=None, budget=2000):
+def split_as_m2(A, budget=2000):
     """For a split 4-dim central simple algebra, an isomorphism matrix
     A -> M_2(F) (acting on coordinates); None if no zero divisor found."""
     if A.dim != 4:
         raise AlgebraError("split_as_m2 expects a 4-dimensional algebra")
     F = A.field
-    pair = find_zero_divisor(A, rng, budget)
+    pair = find_zero_divisor(A, budget)
     if pair is None:
         return None
     u = pair[1]  # u*v = 0 with v != 0, so left ideal A*u is proper
     ideal = _left_ideal(A, u)
     guard = 0
-    rng = rng or random.Random(2)
+    rng = random.Random(2)
     while len(ideal) != 2 and guard < 200:
         w = A.element([F.sum_([F.mul(F.random_element(rng, 3), row[i])
                                for row in ideal])
@@ -710,7 +710,7 @@ def _single_generator_iso(A, B):
     return None
 
 
-def find_isomorphism(A, B, rng=None, budget=2000):
+def find_isomorphism(A, B, budget=2000):
     """A coordinate matrix of a unital algebra isomorphism, or None."""
     if A.field != B.field or A.dim != B.dim:
         return None
@@ -722,15 +722,15 @@ def find_isomorphism(A, B, rng=None, budget=2000):
         v = B.unit_coords[0]
         return [[F.div(v, u)]]
     if A.dim == 4:
-        pa = split_as_m2(A, rng, budget)
-        pb = split_as_m2(B, rng, budget)
+        pa = split_as_m2(A, budget)
+        pb = split_as_m2(B, budget)
         if pa is not None and pb is not None:
             phi = linalg.mat_mul(F, linalg.invert(F, pb), pa)
             if verify_isomorphism(A, B, phi):
                 return phi
         if (pa is None) != (pb is None):
-            da = is_division(A, rng, budget)
-            db = is_division(B, rng, budget)
+            da = is_division(A, budget)
+            db = is_division(B, budget)
             if da.status is not None and db.status is not None \
                     and da.status != db.status:
                 return None

@@ -334,15 +334,7 @@ class ExtensionField(Field):
         pa = self._lift(a)
         if not pa:
             raise ZeroDivisionError("inverse of 0")
-        # extended Euclid against the modulus
-        r0, r1 = self.modulus, pa
-        s0, s1 = (), (self.base.one(),)
-        while P.deg(r1) > 0:
-            q, r = P.divmod_(self.base, r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, P.sub(self.base, s0, P.mul(self.base, q, s1))
-        c_inv = self.base.inv(r1[0])
-        return self._pad(P.scale(self.base, c_inv, s1))
+        return self._pad(P.inv_mod(self.base, pa, self.modulus))
 
     def elements(self):
         return itertools.product(range(self.p), repeat=self.k)
@@ -520,10 +512,8 @@ class FunctionField(Field):
         B = self.base
         if not a[0]:
             return B.zero()
-        v = self.valuation(a)
         num = P.shift(B, a[0], -P.low_valuation(B, a[0]))
         den = P.shift(B, a[1], -P.low_valuation(B, a[1]))
-        del v
         return B.div(num[0], den[0])
 
     def is_square(self, c):
@@ -553,7 +543,7 @@ class FunctionField(Field):
             while True:
                 if self.is_zero(cur):
                     break
-                v = _valuation_at(self, cur, pi)
+                v = P.split_at(B, cur[0], pi)[0] - P.split_at(B, cur[1], pi)[0]
                 if v >= 0:
                     break
                 if v % 2 != 0:
@@ -567,7 +557,7 @@ class FunctionField(Field):
                 num, den = shifted
                 dbar = P.mod(B, den, pi)
                 nbar = P.mod(B, num, pi)
-                a_res = _residue_div(B, nbar, dbar, pi)
+                a_res = P.mod(B, P.mul(B, nbar, P.inv_mod(B, dbar, pi)), pi)
                 h = P.pow_mod(B, a_res, (B.order ** P.deg(pi)) // 2, pi)
                 pim = pi
                 for _ in range(m - 1):
@@ -666,37 +656,6 @@ def _split_fraction(s):
         elif ch == "/" and depth == 0:
             return s[:i], s[i + 1:]
     return s, None
-
-
-def _valuation_at(FF, a, pi):
-    """pi-adic valuation of a rational function (pi monic irreducible)."""
-    B = FF.base
-    if not a[0]:
-        raise FieldError("valuation of 0")
-
-    def vpoly(q):
-        v = 0
-        while q and P.is_zero(P.mod(B, q, pi)):
-            q = P.divmod_(B, q, pi)[0]
-            v += 1
-        return v
-
-    return vpoly(a[0]) - vpoly(a[1])
-
-
-def _residue_div(B, nbar, dbar, pi):
-    """(nbar / dbar) mod pi in the residue field GF(q)[t]/(pi)."""
-    if P.is_zero(dbar):
-        raise ZeroDivisionError("denominator divisible by pi")
-    # invert dbar mod pi by extended Euclid
-    r0, r1 = pi, dbar
-    s0, s1 = (), (B.one(),)
-    while P.deg(r1) > 0:
-        q, r = P.divmod_(B, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, P.sub(B, s0, P.mul(B, q, s1))
-    inv = P.scale(B, B.inv(r1[0]), s1)
-    return P.mod(B, P.mul(B, nbar, inv), pi)
 
 
 class LaurentField(FunctionField):

@@ -220,12 +220,12 @@ def _decide(f):
     (True / False / None, method)."""
     F = f.field
     coeffs = list(f.coeffs)
-    if isinstance(F, LaurentField):
-        if F.char != 2:
-            return localglobal.springer_isotropic_local(F, coeffs), "springer"
-        return localglobal.char2_laurent_isotropic(F, coeffs), "springer"
     if isinstance(F, Rationals) or (isinstance(F, FunctionField) and F.char != 2):
-        return localglobal.is_isotropic_global(F, coeffs), "hasse-minkowski"
+        # over GF(q)((t)): the local test at t, equivalent to Springer's
+        method = "springer" if isinstance(F, LaurentField) else "hasse-minkowski"
+        return localglobal.is_isotropic_global(F, coeffs), method
+    if isinstance(F, LaurentField):
+        return localglobal.char2_laurent_isotropic(F, coeffs), "springer"
     if isinstance(F, FunctionField):
         # char 2: anisotropy over GF(q)((t)) implies anisotropy over GF(q)(t)
         local = localglobal.char2_laurent_isotropic(LaurentField(F.base, F.var), coeffs)
@@ -491,8 +491,6 @@ def is_isometric(f: QuadraticForm, g: QuadraticForm) -> bool:
         s = f.orthogonal_sum(g if f.char2 else g.negated())
         dec = witt_decompose(s)
         return dec.index * 2 == s.dim
-    if isinstance(F, LaurentField) and F.char != 2:
-        return _isometric_invariants_laurent(f, g)
     if isinstance(F, Rationals) or (isinstance(F, FunctionField) and F.char != 2):
         return _isometric_invariants_global(f, g)
     # fall back to the Witt route; may raise UndecidableError
@@ -507,8 +505,9 @@ def _disc_ratio_square(F, f, g):
 
 
 def _isometric_invariants_global(f, g):
-    """Classification over Q or GF(q)(t): dimension, discriminant, the Hasse
-    invariant at every (bad) finite place and, over Q, the signature."""
+    """Classification over Q, GF(q)(t) and GF(q)((t)): dimension,
+    discriminant, the Hasse invariant at every (bad) finite place and, over
+    Q, the signature."""
     F = f.field
     if not _disc_ratio_square(F, f, g):
         return False
@@ -524,19 +523,6 @@ def _isometric_invariants_global(f, g):
                 localglobal.hasse_invariant(F, list(g.coeffs), v):
             return False
     return True
-
-
-def _isometric_invariants_laurent(f, g):
-    F = f.field
-    if not _disc_ratio_square(F, f, g):
-        return False
-    hf = 1
-    hg = 1
-    for i in range(len(f.coeffs)):
-        for j in range(i + 1, len(f.coeffs)):
-            hf *= localglobal._hilbert_laurent(F, f.coeffs[i], f.coeffs[j])
-            hg *= localglobal._hilbert_laurent(F, g.coeffs[i], g.coeffs[j])
-    return hf == hg
 
 
 # ----------------------------------------------------------------------

@@ -1,21 +1,24 @@
 """Hilbert symbols and local-global isotropy decisions.
 
 Places over Q are primes or the real place; over GF(q)(t) they are monic
-irreducible polynomials or the degree (1/t) place.  No completion is ever
-materialized: every local computation is a valuation formula on the global
-data.  Diagonal forms are passed around as coefficient lists.
+irreducible polynomials or the degree (1/t) place.  GF(q)((t)) is the
+completion of GF(q)(t) at t, so its one place is the polynomial place t.
+No completion is ever materialized: every local computation is a valuation
+formula on the global data, and at every odd place the same tame formula.
+Diagonal forms are passed around as coefficient lists.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import itertools
+import math
 
 from . import polynomials as P
 from .fields import FieldError, FunctionField, LaurentField, Rationals
 
 
 class Place:
-    """A place of Q or of GF(q)(t)."""
+    """A place of Q or of GF(q)(t) (and t, that of GF(q)((t)))."""
 
     __slots__ = ("kind", "data")
 
@@ -79,218 +82,168 @@ class Place:
 
 
 # ----------------------------------------------------------------------
-# integer helpers for Q
+# integer factoring for the places of Q
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _factor_int(n):
+    """{p: e} for |n|: trial division by d < 1000, then Miller-Rabin and
+    Pollard-Brent rho on the cofactor."""
     n = abs(n)
     out = {}
     d = 2
-    while d * d <= n:
+    while d < 1000 and d * d <= n:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            f = _rho(m)
+            stack += [f, m // f]
     return out
 
 
-def _vp(x: Fraction, p: int) -> int:
-    v = 0
-    n, d = x.numerator, x.denominator
-    while n % p == 0:
-        n //= p
-        v += 1
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+def _is_prime(n):
+    """Miller-Rabin to the prime bases up to 41: a proof below 3.3e24, a
+    strong probable-prime test above."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
-def _unit_mod(x: Fraction, p: int, modulus: int) -> int:
-    """The p-unit part of x reduced mod `modulus` (a power of p times stuff)."""
-    v = _vp(x, p)
-    n, d = x.numerator, x.denominator
-    for _ in range(max(v, 0)):
-        n //= p
-    for _ in range(max(-v, 0)):
-        d //= p
-    return n * pow(d, -1, modulus) % modulus
-
-
-def _legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        raise ZeroDivisionError("Legendre of 0")
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
-# ----------------------------------------------------------------------
-# function-field helpers (q odd unless stated)
-
-
-def _poly_val(F, a, pi):
-    """pi-adic valuation of a rational function a = (num, den)."""
-    B = F.base
-
-    def v(q):
-        n = 0
-        while q and P.is_zero(P.mod(B, q, pi)):
-            q = P.divmod_(B, q, pi)[0]
-            n += 1
-        return n
-
-    return v(a[0]) - v(a[1])
-
-
-def _poly_unit_residue(F, a, pi):
-    """Residue in GF(q)[t]/(pi) of the pi-unit part of a."""
-    B = F.base
-    v = _poly_val(F, a, pi)
-    num, den = a
-
-    def strip(q, k):
-        for _ in range(k):
-            q = P.divmod_(B, q, pi)[0]
-        return q
-
-    vn = max(v, 0)
-    num = strip(num, vn) if vn else num
-    den = strip(den, -v) if v < 0 else den
-    nbar, dbar = P.mod(B, num, pi), P.mod(B, den, pi)
-    from .fields import _residue_div
-
-    return _residue_div(B, nbar, dbar, pi)
-
-
-def _residue_is_square(F, r, pi):
-    """Is r a square in the residue field GF(q)[t]/(pi)?"""
-    B = F.base
-    if P.is_zero(r):
-        return True
-    order = B.order ** P.deg(pi)
-    power = P.pow_mod(B, r, (order - 1) // 2, pi)
-    return power == (B.one(),)
-
-
-def _deg_val(F, a):
-    """Valuation at the degree place (uniformizer 1/t)."""
-    return P.deg(a[1]) - P.deg(a[0])
-
-
-def _deg_unit_residue(F, a):
-    """Residue in GF(q) of the unit part at the degree place."""
-    B = F.base
-    return B.div(a[0][-1], a[1][-1])
+def _rho(n):
+    """A proper factor of an odd composite n without small factors
+    (Pollard rho with Brent's cycle finding, gcds batched by 128)."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step through it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 # ----------------------------------------------------------------------
-# Hilbert symbols
+# the tame symbol at odd places
+
+
+def _split(F, a, place):
+    """(v, r) with a = pi^v n/d at a finite place, n and d prime to the
+    uniformizer pi, and r = n*d mod pi, the class of the unit n/d up to
+    squares (no modular inverse).  At p = 2 over Q, r = n*d mod 8 is the
+    unit mod 8."""
+    if isinstance(F, Rationals):
+        p, n, d, v = place.data, a.numerator, a.denominator, 0
+        while n % p == 0:
+            n, v = n // p, v + 1
+        while d % p == 0:
+            d, v = d // p, v - 1
+        return v, n * d % (8 if p == 2 else p)
+    if isinstance(F, LaurentField) and place != _t_place(F):
+        raise FieldError("the only place of %s is t" % F.name)
+    (num, den), B = a, F.base
+    if place.kind == "deg":  # uniformizer 1/t: residues of leading terms
+        return P.deg(den) - P.deg(num), (B.mul(num[-1], den[-1]),)
+    vn, rn = P.split_at(B, num, place.data)
+    vd, rd = P.split_at(B, den, place.data)
+    return vn - vd, P.mod(B, P.mul(B, rn, rd), place.data)
+
+
+def _t_place(F):
+    return Place.poly(P.x_poly(F.base))
+
+
+def _chi(F, place, rs, negate=False):
+    """chi((-1)^negate * prod(rs)) in {1, -1}, for the quadratic character
+    chi of the residue field at an odd place and a nonempty list rs of
+    residues from `_split` (at the degree place, constants taken mod t)."""
+    if isinstance(F, Rationals):
+        pi = order = place.data
+    else:
+        pi = P.x_poly(F.base) if place.kind == "deg" else place.data
+        order = F.base.order ** P.deg(pi)
+    s = -1 if negate and order % 4 == 3 else 1  # chi(-1) = (-1)^((order-1)/2)
+    if isinstance(F, Rationals):
+        return s if pow(math.prod(rs) % pi, (order - 1) // 2, pi) == 1 else -s
+    B, r = F.base, rs[0]
+    for x in rs[1:]:
+        r = P.mod(B, P.mul(B, r, x), pi)
+    return s if P.pow_mod(B, r, (order - 1) // 2, pi) == (B.one(),) else -s
 
 
 def hilbert_symbol(F, a, b, place: Place) -> int:
-    """(a, b)_v in {1, -1}."""
+    """(a, b)_v in {1, -1}.  At an odd place, with a = pi^alpha u and
+    b = pi^beta w, it is chi(-1)^(alpha beta) chi(u)^beta chi(w)^alpha
+    (Serre, A Course in Arithmetic, III.1.2)."""
     if F.is_zero(a) or F.is_zero(b):
         raise FieldError("Hilbert symbol needs nonzero arguments")
-    if isinstance(F, Rationals):
-        return _hilbert_q(a, b, place)
-    if isinstance(F, FunctionField) and not isinstance(F, LaurentField):
-        if F.char == 2:
-            raise FieldError("characteristic-2 function fields are not supported")
-        return _hilbert_fqt(F, a, b, place)
-    if isinstance(F, LaurentField):
-        if F.char == 2:
-            raise FieldError("characteristic-2 Laurent symbols are not supported")
-        return _hilbert_laurent(F, a, b)
-    raise FieldError("no Hilbert symbol over %s" % F.name)
-
-
-def _hilbert_q(a, b, place):
+    if not isinstance(F, (Rationals, FunctionField)):
+        raise FieldError("no Hilbert symbol over %s" % F.name)
+    if F.char == 2:
+        raise FieldError("characteristic-2 function fields are not supported")
     if place.kind == "real":
         return -1 if a < 0 and b < 0 else 1
-    p = place.data
-    alpha, beta = _vp(a, p), _vp(b, p)
-    if p != 2:
-        u, v = _unit_mod(a, p, p), _unit_mod(b, p, p)
-        s = 1
-        if alpha % 2 and beta % 2:
-            s *= _legendre(-1, p)
-        if beta % 2:
-            s *= _legendre(u, p)
-        if alpha % 2:
-            s *= _legendre(v, p)
-        return s
-    u, v = _unit_mod(a, 2, 8), _unit_mod(b, 2, 8)
-    eps_u, eps_v = (u - 1) // 2 % 2, (v - 1) // 2 % 2
-    om_u, om_v = (u * u - 1) // 8 % 2, (v * v - 1) // 8 % 2
-    e = eps_u * eps_v + alpha * om_v + beta * om_u
-    return -1 if e % 2 else 1
-
-
-def _hilbert_fqt(F, a, b, place):
-    B = F.base
-    if place.kind == "deg":
-        alpha, beta = _deg_val(F, a), _deg_val(F, b)
-        u, v = _deg_unit_residue(F, a), _deg_unit_residue(F, b)
-        c = B.one()
-        if alpha % 2 and beta % 2:
-            c = B.mul(c, B.neg(B.one()))
-        if beta % 2:
-            c = B.mul(c, u)
-        if alpha % 2:
-            c = B.mul(c, v)
-        return 1 if B.pow_(c, (B.order - 1) // 2) == B.one() else -1
-    pi = place.data
-    alpha, beta = _poly_val(F, a, pi), _poly_val(F, b, pi)
-    u, v = _poly_unit_residue(F, a, pi), _poly_unit_residue(F, b, pi)
-    # ((-1)^(alpha beta) u^beta v^(-alpha)) as residue, then the square test
-    c = (B.one(),)
-    if alpha % 2 and beta % 2:
-        c = P.neg(B, c)
-    if beta % 2:
-        c = P.mod(B, P.mul(B, c, u), pi)
-    if alpha % 2:
-        c = P.mod(B, P.mul(B, c, v), pi)
-    return 1 if _residue_is_square(F, c, pi) else -1
-
-
-def _hilbert_laurent(L, a, b):
-    B = L.base
-    alpha, beta = L.valuation(a), L.valuation(b)
-    u, v = L.residue_at_zero(a), L.residue_at_zero(b)
-    c = B.one()
-    if alpha % 2 and beta % 2:
-        c = B.mul(c, B.neg(B.one()))
-    if beta % 2:
-        c = B.mul(c, u)
-    if alpha % 2:
-        c = B.mul(c, v)
-    return 1 if B.is_square(c)[0] else -1
+    alpha, u = _split(F, a, place)
+    beta, w = _split(F, b, place)
+    if place == Place.prime(2):
+        eps_u, eps_w = (u - 1) // 2 % 2, (w - 1) // 2 % 2
+        om_u, om_w = (u * u - 1) // 8 % 2, (w * w - 1) // 8 % 2
+        e = eps_u * eps_w + alpha * om_w + beta * om_u
+        return -1 if e % 2 else 1
+    rs = [u] * (beta % 2) + [w] * (alpha % 2)
+    return _chi(F, place, rs, alpha * beta % 2) if rs else 1
 
 
 # ----------------------------------------------------------------------
-# local squares and local isotropy (nondyadic formulas + Q_2 + R)
+# local squares and local isotropy (odd places, Q_2 and R)
 
 
 def is_local_square(F, a, place: Place) -> bool:
-    if isinstance(F, Rationals):
-        if place.kind == "real":
-            return a > 0
-        p = place.data
-        if _vp(a, p) % 2:
-            return False
-        if p != 2:
-            return _legendre(_unit_mod(a, p, p), p) == 1
-        return _unit_mod(a, 2, 8) == 1
-    if place.kind == "deg":
-        if _deg_val(F, a) % 2:
-            return False
-        return F.base.is_square(_deg_unit_residue(F, a))[0]
-    pi = place.data
-    if _poly_val(F, a, pi) % 2:
+    if F.is_zero(a):
+        return True
+    if place.kind == "real":
+        return a > 0
+    v, u = _split(F, a, place)
+    if v % 2:
         return False
-    return _residue_is_square(F, _poly_unit_residue(F, a, pi), pi)
+    return u == 1 if place == Place.prime(2) else _chi(F, place, [u]) == 1
 
 
 def hasse_invariant(F, diag, place: Place) -> int:
@@ -328,7 +281,7 @@ def is_isotropic_local(F, diag, place: Place) -> bool:
 
 def bad_places(F, diag):
     """A finite over-approximation of the places where local data can be
-    nontrivial, plus the real / degree place."""
+    nontrivial, plus the real / degree place; over GF(q)((t)), the place t."""
     if isinstance(F, Rationals):
         primes = {2}
         for a in diag:
@@ -337,6 +290,8 @@ def bad_places(F, diag):
         places = [Place.prime(p) for p in sorted(primes)]
         places.append(Place.real())
         return places
+    if isinstance(F, LaurentField):
+        return [_t_place(F)]
     B = F.base
     polys = set()
     for a in diag:
@@ -350,12 +305,11 @@ def bad_places(F, diag):
 
 
 def is_isotropic_global(F, diag) -> bool:
-    """Hasse-Minkowski decision over Q or GF(q)(t), q odd, char != 2."""
+    """Hasse-Minkowski over Q or GF(q)(t), and the local decision at t over
+    GF(q)((t)); q odd."""
     if isinstance(F, FunctionField):
         if F.char == 2:
             raise FieldError("characteristic-2 function fields are not supported")
-        if isinstance(F, LaurentField):
-            raise FieldError("use the Springer decision for Laurent fields")
     elif not isinstance(F, Rationals):
         raise FieldError("unsupported field %s" % F.name)
     if any(F.is_zero(a) for a in diag):
@@ -373,32 +327,7 @@ def is_isotropic_global(F, diag) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Springer residue recursion over GF(q)((t))
-
-
-def springer_isotropic_local(L, diag) -> bool:
-    """Isotropy of a diagonal form over GF(q)((t)), q odd, via the two
-    residue forms of the even- and odd-valuation parts."""
-    if L.char == 2:
-        raise FieldError("use char2_laurent_isotropic for characteristic 2")
-    B = L.base
-    unit_res, odd_res = [], []
-    for a in diag:
-        if L.is_zero(a):
-            raise FieldError("singular diagonal form")
-        v = L.valuation(a)
-        r = L.residue_at_zero(a)
-        (unit_res if v % 2 == 0 else odd_res).append(r)
-    return _finite_diag_isotropic(B, unit_res) or _finite_diag_isotropic(B, odd_res)
-
-
-def _finite_diag_isotropic(B, diag):
-    n = len(diag)
-    if n <= 1:
-        return False
-    if n == 2:
-        return B.is_square(B.neg(B.mul(diag[0], diag[1])))[0]
-    return True  # Chevalley: >= 3 variables over a finite field
+# characteristic 2: residue forms over GF(2^k)((t))
 
 
 def char2_laurent_isotropic(L, pairs):
@@ -444,8 +373,6 @@ def _char2_finite_blocks_isotropic(B, blocks):
     if len(blocks) > 1:
         # dim >= 4 nonsingular over a finite field is always isotropic
         return True
-    import itertools
-
     (a, b), = blocks
     for u, v in itertools.product(list(B.elements()), repeat=2):
         if B.is_zero(u) and B.is_zero(v):

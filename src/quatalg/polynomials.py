@@ -124,6 +124,28 @@ def derivative(F, p):
     return normalize(F, out)
 
 
+def inv_mod(F, a, m):
+    """Inverse of a modulo m by extended Euclid; a is reduced, nonzero and
+    prime to m."""
+    r0, r1 = m, a
+    s0, s1 = (), (F.one(),)
+    while deg(r1) > 0:
+        q, r = divmod_(F, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, sub(F, s0, mul(F, q, s1))
+    return scale(F, F.inv(r1[0]), s1)
+
+
+def split_at(F, p, pi):
+    """(v, r) with p = pi^v q, q prime to pi and r = q mod pi; p nonzero."""
+    v = 0
+    while True:
+        quo, rem = divmod_(F, p, pi)
+        if rem:
+            return v, rem
+        p, v = quo, v + 1
+
+
 def pow_mod(F, p, n, m):
     """p^n mod m by square-and-multiply."""
     result = (F.one(),)

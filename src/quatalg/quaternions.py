@@ -327,10 +327,10 @@ def isomorphism_between_realizations(A, B, budget=20000):
     return None
 
 
-def realization_isomorphism(A, B, rng=None, budget=20000):
+def realization_isomorphism(A, B, budget=20000):
     """Isomorphism between realizations, trying the split route first."""
-    pa = split_as_m2(A, rng, budget=200)
-    pb = split_as_m2(B, rng, budget=200)
+    pa = split_as_m2(A, budget=200)
+    pb = split_as_m2(B, budget=200)
     if pa is not None and pb is not None:
         phi = linalg.mat_mul(A.field, linalg.invert(A.field, pb), pa)
         if verify_isomorphism(A, B, phi):

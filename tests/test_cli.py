@@ -33,6 +33,18 @@ def test_form_isotropic_false(capsys):
     assert payload["isotropic"] is False
 
 
+def test_form_isotropic_large_prime_factors(capsys):
+    # 100000000000000000039000000000000000000357 =
+    # 2867933 * 2721844676609 * 12810546594780635018281, past trial division
+    form = json.dumps({"field": Q_FIELD, "char2": False,
+                       "diag": ["1", "1", "1",
+                                "-100000000000000000039000000000000000000357"]})
+    code, payload, _ = run(capsys, "form", "isotropic", "--json", form)
+    assert code == 0
+    assert payload == {"isotropic": True,
+                       "method": "hasse-minkowski; witness budget exhausted"}
+
+
 def test_form_invariants_and_witt(capsys):
     form = json.dumps({"field": F3_FIELD, "char2": False,
                        "diag": ["1", "2", "1", "2"]})
@@ -59,7 +71,9 @@ def test_cli_golden_output(capsys):
     """Byte-exact stdout and exit codes of form isotropic / form witt
     requests covering every isotropy method string (enumeration,
     hasse-minkowski, springer, springer-laurent, bounded-search, witness
-    budget exhausted), of quat iso over Q, of algebra decompose on each
+    budget exhausted) and both verdicts over F_5(t), F_9(t), F_5((t)) and
+    F_9((t)), of quat iso over Q, F_5(t), F_3((t)) and F_5((t)), of quat
+    division over F_5(t) and F_3((t)), of algebra decompose on each
     pair of marked classes (both square-central in characteristic 3; both
     Artin-Schreier, and square-central with Artin-Schreier, in
     characteristic 2) and of algebra chain in characteristics 3 and 2."""

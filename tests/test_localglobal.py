@@ -1,8 +1,16 @@
+import functools
+import itertools
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quatalg import forms
+from quatalg import polynomials as P
 from quatalg.fields import FieldError, FiniteField, FunctionField, LaurentField, Rationals
 from quatalg.localglobal import (
     Place,
@@ -10,7 +18,7 @@ from quatalg.localglobal import (
     char2_laurent_isotropic,
     hilbert_symbol,
     is_isotropic_global,
-    springer_isotropic_local,
+    is_local_square,
 )
 
 Q = Rationals()
@@ -82,6 +90,22 @@ def test_product_formula(F, bound):
         assert prod == 1
 
 
+def test_factor_int():
+    from quatalg.localglobal import _factor_int
+
+    # three prime factors past trial division: 2867933 is found by rho
+    n = 2867933 * 2721844676609 * 12810546594780635018281
+    assert _factor_int(-n) == {2867933: 1, 2721844676609: 1,
+                               12810546594780635018281: 1}
+    assert _factor_int(2**5 * 9 * 1009**2 * 1000003 * 1000033) == \
+        {2: 5, 3: 2, 1009: 2, 1000003: 1, 1000033: 1}
+    assert _factor_int(1) == {}
+    for m in range(2, 3000):
+        f = _factor_int(m)
+        assert math.prod(p**e for p, e in f.items()) == m
+        assert all(all(p % d for d in range(2, math.isqrt(p) + 1)) for p in f)
+
+
 def test_global_isotropy_examples():
     assert is_isotropic_global(Q, [q(1)] * 4) is False
     assert is_isotropic_global(Q, [q(1), q(-1), q(7), q(-13)]) is True
@@ -121,12 +145,12 @@ def test_springer_examples():
     t = L3.t()
     one, two = L3.one(), L3.from_int(2)
     # t*<1,-1> = <t,-t> isotropic
-    assert springer_isotropic_local(L3, [t, L3.neg(t)]) is True
+    assert is_isotropic_global(L3, [t, L3.neg(t)]) is True
     # <1,-c>, c a nonsquare unit
-    assert springer_isotropic_local(L3, [one, L3.neg(two)]) is False
+    assert is_isotropic_global(L3, [one, L3.neg(two)]) is False
     # <1,-2,-t,2t>: both residue parts anisotropic over F_3
     diag = [one, L3.neg(two), L3.neg(t), L3.mul(two, t)]
-    assert springer_isotropic_local(L3, diag) is False
+    assert is_isotropic_global(L3, diag) is False
 
 
 def test_char2_laurent_blocks():
@@ -150,7 +174,140 @@ def test_place_json_roundtrip():
     assert Place.from_json(v.to_json(F3t), F3t) == v
 
 
+def test_zero_is_a_local_square():
+    assert is_local_square(Q, q(0), Place.prime(3))
+    assert is_local_square(F3t, F3t.zero(), Place.poly((0, 1)))
+
+
+def test_laurent_field_has_only_the_place_t():
+    t = L3.t()
+    assert hilbert_symbol(L3, t, t, Place.poly((0, 1))) == -1
+    with pytest.raises(FieldError):
+        hilbert_symbol(L3, t, t, Place.degree())
+
+
 def test_char2_function_field_rejected():
     F2t = FunctionField(FiniteField(2))
     with pytest.raises(FieldError):
         hilbert_symbol(F2t, F2t.one(), F2t.one(), Place.degree())
+
+
+# ----------------------------------------------------------------------
+# the tame symbol at the odd places of Q, F_q(t) and F_q((t))
+
+F5, F9 = FiniteField(5), FiniteField(3, 2)
+FUNCTION_FIELDS = [FunctionField(B) for B in (F3, F5, F9)]
+LAURENT_FIELDS = [LaurentField(B) for B in (F3, F5, F9)]
+
+
+def test_chi_minus_one_is_taken_in_the_residue_field():
+    # (pi, pi)_pi = chi(-1) of GF(3)[t]/(pi): -1 at pi = t, 1 at pi = t^2+1
+    for pi, expected in (((0, 1), -1), ((1, 0, 1), 1)):
+        x = F3t.from_poly(pi)
+        assert hilbert_symbol(F3t, x, x, Place.poly(pi)) == expected
+
+
+@functools.lru_cache(maxsize=None)
+def _irreducibles(B):
+    """Monic irreducibles of degree 1 to 3 (to 2 over GF(9))."""
+    top = 2 if B.order == 9 else 3
+    return [pi for d in range(1, top + 1) for pi in P.monic_polys(B, d)
+            if P.is_irreducible(B, pi)]
+
+
+@st.composite
+def _nonzero(draw, F):
+    if isinstance(F, Rationals):
+        n = draw(st.integers(-2000, 2000).filter(bool))
+        return Fraction(n, draw(st.integers(1, 2000)))
+    B = F.base
+    coeffs = st.lists(st.sampled_from(list(B.elements())), min_size=1, max_size=4)
+    num = draw(coeffs.map(lambda c: P.normalize(B, c)).filter(bool))
+    den = draw(coeffs.map(lambda c: P.normalize(B, c[:3])).filter(bool))
+    return F.div(F.from_poly(num), F.from_poly(den))
+
+
+def _elements(F, data, k):
+    """k nonzero elements; over F_q(t) and F_q((t)) each is multiplied by a
+    drawn place (degree up to 3 over F_q(t), t over F_q((t))) or not, so
+    that places of degree >= 2 and odd valuations come up."""
+    elems = [data.draw(_nonzero(F)) for _ in range(k)]
+    if isinstance(F, FunctionField):
+        pi = (P.x_poly(F.base) if isinstance(F, LaurentField)
+              else data.draw(st.sampled_from(_irreducibles(F.base))))
+        elems = [F.mul(x, F.from_poly(pi)) if data.draw(st.booleans()) else x
+                 for x in elems]
+    return elems
+
+
+def _odd_place(F, data, elems):
+    if isinstance(F, LaurentField):
+        return Place.poly(P.x_poly(F.base))
+    places = [v for v in bad_places(F, elems)
+              if v.kind != "real" and v != Place.prime(2)]
+    if isinstance(F, Rationals):
+        places += [Place.prime(3), Place.prime(7)]
+    return data.draw(st.sampled_from(places))
+
+
+@pytest.mark.parametrize("F", [Q] + FUNCTION_FIELDS + LAURENT_FIELDS,
+                         ids=lambda F: F.name)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_tame_symbol_laws(F, data):
+    """Symmetry, bimultiplicativity, (a, -a) = 1 and the Steinberg relation
+    (a, 1 - a) = 1 at odd places."""
+    a, b, c = _elements(F, data, 3)
+    v = _odd_place(F, data, [a, b, c])
+
+    def h(x, y):
+        return hilbert_symbol(F, x, y, v)
+
+    assert h(a, b) == h(b, a)
+    assert h(F.mul(a, b), c) == h(a, c) * h(b, c)
+    assert h(a, F.neg(a)) == 1
+    if not F.eq(a, F.one()):
+        assert h(a, F.sub(F.one(), a)) == 1
+
+
+@pytest.mark.parametrize("F", [Q] + FUNCTION_FIELDS, ids=lambda F: F.name)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_product_formula_property(F, data):
+    a, b = _elements(F, data, 2)
+    prod = 1
+    for v in bad_places(F, [a, b]):
+        prod *= hilbert_symbol(F, a, b, v)
+    assert prod == 1
+
+
+def _springer_oracle(L, diag):
+    """Springer: <a_i> is isotropic over F_q((t)) iff the residue form of the
+    even-valuation entries or that of the odd-valuation entries is, each
+    decided by enumeration over F_q.  Valuation and residue are read off
+    the coefficient tuples."""
+    B = L.base
+    parts = ([], [])
+    for num, den in diag:
+        i = next(k for k, x in enumerate(num) if not B.is_zero(x))
+        j = next(k for k, x in enumerate(den) if not B.is_zero(x))
+        parts[(i - j) % 2].append(B.div(num[i], den[j]))
+    for part in parts:
+        for vec in itertools.product(list(B.elements()), repeat=len(part)):
+            value = B.sum_(B.mul(a, B.mul(x, x)) for a, x in zip(part, vec))
+            if B.is_zero(value) and not all(B.is_zero(x) for x in vec):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("L", LAURENT_FIELDS, ids=lambda F: F.name)
+@given(n=st.integers(1, 4), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_laurent_isotropy_matches_springer_oracle(L, n, data):
+    """The verdict of forms.is_isotropic; the witness search is stubbed out,
+    since over F_9((t)) one search can take tens of seconds and the
+    verdict does not depend on it."""
+    diag = _elements(L, data, n)
+    with mock.patch.object(forms, "_search_poly", lambda *args: None):
+        status = forms.is_isotropic(forms.QuadraticForm(L, diag)).status
+    assert status is _springer_oracle(L, diag)
