@@ -181,6 +181,8 @@ class StructureConstantAlgebra:
         }
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, StructureConstantAlgebra)
                 and self.field == other.field
                 and self.dim == other.dim

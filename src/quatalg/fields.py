@@ -454,17 +454,19 @@ class FunctionField(Field):
             raise ZeroDivisionError("zero denominator")
         if not num:
             return ((), (B.one(),))
-        g = P.gcd(B, num, den)
-        if P.deg(g) > 0:
-            num = P.divmod_(B, num, g)[0]
-            den = P.divmod_(B, den, g)[0]
+        # a constant numerator or denominator is prime to the other side
+        if len(num) > 1 and len(den) > 1:
+            g = P.gcd(B, num, den)
+            if P.deg(g) > 0:
+                num = P.divmod_(B, num, g)[0]
+                den = P.divmod_(B, den, g)[0]
+        if B.is_one(den[-1]):
+            return (num, den)
         lead_inv = B.inv(den[-1])
-        num = P.scale(B, lead_inv, num)
-        den = P.scale(B, lead_inv, den)
-        return (num, den)
+        return (P.scale(B, lead_inv, num), P.scale(B, lead_inv, den))
 
     def from_poly(self, poly):
-        return self._make(poly, (self.base.one(),))
+        return self._make(P.normalize(self.base, poly), (self.base.one(),))
 
     def zero(self):
         return ((), (self.base.one(),))
@@ -483,6 +485,8 @@ class FunctionField(Field):
 
     def add(self, a, b):
         B = self.base
+        if a[1] == b[1]:
+            return self._make(P.add(B, a[0], b[0]), a[1])
         n = P.add(B, P.mul(B, a[0], b[1]), P.mul(B, b[0], a[1]))
         return self._make(n, P.mul(B, a[1], b[1]))
 
@@ -491,6 +495,10 @@ class FunctionField(Field):
 
     def mul(self, a, b):
         B = self.base
+        if len(a[1]) == 1 and len(b[1]) == 1:
+            # both denominators are 1: the product of the numerators is
+            # already canonical
+            return (P.mul(B, a[0], b[0]), a[1])
         return self._make(P.mul(B, a[0], b[0]), P.mul(B, a[1], b[1]))
 
     def inv(self, a):

@@ -4,6 +4,15 @@ Polynomials are immutable tuples of field payloads in little-endian order
 (coefficient of X^i at index i), normalized so the last entry is nonzero.
 The empty tuple () is the zero polynomial.  All functions take the
 coefficient field as first argument and never mutate their inputs.
+
+Over a prime field GF(p), whose payloads are ints in [0, p), ``normalize``,
+``add``, ``neg``, ``mul``, ``scale`` and ``divmod_`` work on the ints
+directly and reduce each output coefficient once with ``% p``; every other
+routine reaches that kernel through them.  Other coefficient fields go
+through the field's methods, one call per coefficient operation.  The
+kernel builds its tuples from lists: ``tuple()`` of a generator starts
+from a guessed size and resizes, and built that way the kernel's tuples
+raised the peak memory of an F_3(t) Clifford computation by a fifth.
 """
 
 from __future__ import annotations
@@ -11,8 +20,22 @@ from __future__ import annotations
 import itertools
 
 
+def _prime(F):
+    """p when F is the prime field GF(p), else None."""
+    return F.p if F.kind == "GF" and F.k == 1 else None
+
+
+def _strip(cs):
+    """Drop trailing zero ints of the list cs and return it as a tuple."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
 def normalize(F, coeffs):
     cs = list(coeffs)
+    if _prime(F):
+        return _strip(cs)
     while cs and F.is_zero(cs[-1]):
         cs.pop()
     return tuple(cs)
@@ -40,6 +63,11 @@ def monomial(F, c, n):
 def add(F, p, q):
     if len(p) < len(q):
         p, q = q, p
+    m = _prime(F)
+    if m:
+        out = [(a + b) % m for a, b in zip(p, q)]
+        out.extend(p[len(q):])
+        return _strip(out)
     out = list(p)
     for i, c in enumerate(q):
         out[i] = F.add(out[i], c)
@@ -47,6 +75,9 @@ def add(F, p, q):
 
 
 def neg(F, p):
+    m = _prime(F)
+    if m:
+        return tuple([-c % m for c in p])
     return tuple(F.neg(c) for c in p)
 
 
@@ -57,6 +88,14 @@ def sub(F, p, q):
 def mul(F, p, q):
     if not p or not q:
         return ()
+    m = _prime(F)
+    if m:
+        out = [0] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            if a:
+                for j, b in enumerate(q, i):
+                    out[j] += a * b
+        return _strip([c % m for c in out])
     out = [F.zero()] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if F.is_zero(a):
@@ -67,6 +106,9 @@ def mul(F, p, q):
 
 
 def scale(F, c, p):
+    m = _prime(F)
+    if m:
+        return _strip([c * a % m for a in p]) if c else ()
     if F.is_zero(c):
         return ()
     return normalize(F, [F.mul(c, a) for a in p])
@@ -78,6 +120,19 @@ def divmod_(F, p, q):
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(p)
     dq = deg(q)
+    m = _prime(F)
+    if m:
+        # rem holds unreduced ints; a coefficient is reduced when it becomes
+        # the next leading term, and the remainder once at the end
+        lead_inv = pow(q[-1], m - 2, m)
+        quot = [0] * max(0, len(p) - dq)
+        for i in range(len(p) - 1, dq - 1, -1):
+            c = rem[i] % m * lead_inv % m
+            if c:
+                quot[i - dq] = c
+                for j in range(dq):
+                    rem[i - dq + j] -= c * q[j]
+        return _strip(quot), _strip([c % m for c in rem[:dq]])
     lead_inv = F.inv(q[-1])
     quot = [F.zero()] * max(0, len(p) - dq)
     for i in range(len(p) - 1, dq - 1, -1):
@@ -111,17 +166,6 @@ def evaluate(F, p, x):
     for c in reversed(p):
         acc = F.add(F.mul(acc, x), c)
     return acc
-
-
-def derivative(F, p):
-    out = []
-    for i in range(1, len(p)):
-        ci = p[i]
-        s = F.zero()
-        for _ in range(i):
-            s = F.add(s, ci)
-        out.append(s)
-    return normalize(F, out)
 
 
 def inv_mod(F, a, m):
