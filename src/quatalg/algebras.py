@@ -36,9 +36,27 @@ class StructureConstantAlgebra:
             unit = self._find_unit()
         self.unit_coords = tuple(unit)
         self.symbol = None  # set by quaternion realizations
+        self._symbol_coords = None
         if check:
             self._check_unit()
             self._check_associativity()
+
+    @property
+    def symbol_generators(self):
+        """The marked generators (x, y) of a quaternion realization, or
+        None.  Only their coordinates are stored: an algebra that held
+        elements of itself would sit in a reference cycle and be freed
+        only by the cyclic garbage collector."""
+        if self._symbol_coords is None:
+            return None
+        return tuple(self.element(c) for c in self._symbol_coords)
+
+    @symbol_generators.setter
+    def symbol_generators(self, gens):
+        if gens is not None and any(g.algebra != self for g in gens):
+            raise AlgebraError("symbol generators lie in another algebra")
+        self._symbol_coords = None if gens is None else tuple(
+            g.coords for g in gens)
 
     # -- construction-time checks -------------------------------------
 
@@ -73,9 +91,26 @@ class StructureConstantAlgebra:
             rng = random.Random(0)
             triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
                        for _ in range(5000))
+        F, T = self.field, self.table
+        columns = [tuple(row[k] for row in T) for k in range(n)]
+        products = {}  # c * t for table entries c, t, for this sweep only
+
+        def combine(terms, cells):
+            # sum over m of terms[m] * cells[m], straight from the table
+            out = {}
+            for m, c in terms.items():
+                for k, t in cells[m].items():
+                    p = products.get((c, t))
+                    if p is None:
+                        p = products[(c, t)] = F.mul(c, t)
+                    out[k] = F.add(out[k], p) if k in out else p
+            return out
+
         for i, j, k in triples:
-            left = self._mul_sparse(self.table[i][j], {k: self.field.one()})
-            right = self._mul_sparse({i: self.field.one()}, self.table[j][k])
+            # (e_i e_j) e_k: T[i][j] against column k of the table;
+            # e_i (e_j e_k): T[j][k] against row i
+            left = combine(T[i][j], columns[k])
+            right = combine(T[j][k], T[i])
             if not self._sparse_eq(left, right):
                 raise AlgebraError(
                     "associativity fails at basis triple (%d,%d,%d)" % (i, j, k))

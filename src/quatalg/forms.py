@@ -287,16 +287,34 @@ def _search_poly(f, c, degree_bound):
     F = f.field
     cands = _poly_candidates(F, degree_bound)
     budget = 200000
+    # f is the sum of its blocks (one diagonal entry, or one char-2 pair);
+    # a block's value on its candidate indices is computed on first use and
+    # reused.  sums[b] holds the value of the first b blocks of the last
+    # candidate, so only the blocks from the first changed one on are added
+    width = 2 if f.char2 else 1
+    blocks = [QuadraticForm(F, (a,), f.char2) for a in f.coeffs]
+    values = [{} for _ in blocks]
+    sums = [F.zero()] * (len(blocks) + 1)
+    last = None
     count = 0
     for vec in itertools.product(range(len(cands)), repeat=f.dim):
         count += 1
         if count > budget:
             return None
-        if all(i == 0 for i in vec):
-            continue
-        v = [cands[i] for i in vec]
-        if F.eq(f.evaluate(v), c):
-            return v
+        p = 0
+        if last is not None:
+            while vec[p] == last[p]:
+                p += 1
+        last = vec
+        for b in range(p // width, len(blocks)):
+            key = vec[width * b:width * (b + 1)]
+            val = values[b].get(key)
+            if val is None:
+                val = values[b][key] = blocks[b].evaluate(
+                    [cands[i] for i in key])
+            sums[b + 1] = F.add(sums[b], val)
+        if F.eq(sums[-1], c) and any(vec):
+            return [cands[i] for i in vec]
     return None
 
 

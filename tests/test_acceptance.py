@@ -25,7 +25,7 @@ CRITERIA = [
      "fields + rational example", 120),
     (6, "division-equivalence",
      "E(f) division iff f anisotropic, 50 trivial-discriminant forms "
-     "over F_3(t)", None),
+     "over F_3(t)", 60),
     (7, "decompositions",
      "t = t0 + t1 identities + structural identity, 500 instances x 5 "
      "fields", None),

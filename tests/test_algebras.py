@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -227,3 +228,49 @@ def test_json_roundtrip():
     A = algebra_from_json(d)
     assert A == H and A.basis_labels == H.basis_labels
     assert A.unit_coords == H.unit_coords
+
+
+def test_associativity_sweep_catches_every_changed_coefficient():
+    """Adding 1 to any one coefficient of a 4-dim quaternion table, over
+    Q, F_5, F_3(t) and (characteristic 2) F_2(t), breaks associativity,
+    and the sweep must say so."""
+    from quatalg.fields import FunctionField
+    from quatalg.quaternions import QuaternionSymbol, realize
+
+    F3t, F2t = FunctionField(F3), FunctionField(F2)
+    t3, t2 = F3t.t(), F2t.t()
+    algebras = [
+        H, hamilton(F5),
+        realize(QuaternionSymbol(F3t, t3, F3t.add(t3, F3t.one()))),
+        realize(QuaternionSymbol(F2t, t2, F2t.add(t2, F2t.one()),
+                                 char2=True)),
+    ]
+    for A in algebras:
+        F = A.field
+        A._check_associativity()
+        for i, j, k in itertools.product(range(4), repeat=3):
+            table = [[dict(cell) for cell in row] for row in A.table]
+            cell = table[i][j]
+            value = F.add(cell.get(k, F.zero()), F.one())
+            if F.is_zero(value):
+                del cell[k]
+            else:
+                cell[k] = value
+            bad = StructureConstantAlgebra(F, table, A.basis_labels,
+                                           A.unit_coords, check=False)
+            with pytest.raises(AlgebraError, match=r"basis triple \("):
+                bad._check_associativity()
+
+
+def test_symbol_generators_are_stored_as_coordinates():
+    from quatalg.quaternions import QuaternionSymbol, realize
+
+    A = realize(QuaternionSymbol(F5, 2, 3))
+    x, y = A.symbol_generators
+    assert (x, y) == (A.basis_element(1), A.basis_element(2))
+    assert x.algebra is A
+    assert matrix_algebra_m2(F5).symbol_generators is None
+    with pytest.raises(AlgebraError):
+        A.symbol_generators = (hamilton(F5).basis_element(1), y)
+    A.symbol_generators = None
+    assert A.symbol_generators is None

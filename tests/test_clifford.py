@@ -1,16 +1,23 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from quatalg.algebras import center, find_isomorphism, find_zero_divisor
+from quatalg.algebras import (
+    StructureConstantAlgebra,
+    center,
+    find_isomorphism,
+    find_zero_divisor,
+)
 from quatalg.clifford import (
     CliffordError,
     clifford_algebra,
     even_part,
     extract_E,
 )
-from quatalg.fields import FiniteField, Rationals
+from quatalg.fields import FiniteField, FunctionField, Rationals
 from quatalg.forms import QuadraticForm, is_isotropic, quaternion_norm_form
 from quatalg.quaternions import are_isomorphic, realize
 
@@ -139,3 +146,93 @@ def test_extract_E_norm_form_matches_symbol_finite():
                 E = extract_E(quaternion_norm_form(F, a, b))
                 assert E.symbol is not None
                 assert are_isomorphic(E.symbol, s) is True
+
+
+# -- the exact defining-identity check ---------------------------------------
+
+F3T = FunctionField(F3)
+
+
+def golden_f3t_form():
+    """The F_3(t) form of the clifford extract-e golden request."""
+    return QuadraticForm(F3T, tuple(F3T.parse(s) for s in (
+        "t+1", "2*t^2+1", "t", "2*t^4+2*t^3+t^2+t")), False)
+
+
+def char2_pair_form():
+    return QuadraticForm(F2, ((1, 1), (0, 1)), True)
+
+
+def _with_cell_changed(C, i, j):
+    """Add 1 to the unit coefficient of the table cell x_i * x_j, and
+    rebind C to the changed (unchecked) algebra."""
+    A = C.algebra
+    F = A.field
+    table = [[dict(cell) for cell in row] for row in A.table]
+    cell = table[C.index[(i,)]][C.index[(j,)]]
+    value = F.add(cell.get(0, F.zero()), F.one())
+    if F.is_zero(value):
+        del cell[0]
+    else:
+        cell[0] = value
+    C.algebra = StructureConstantAlgebra(F, table, A.basis_labels,
+                                         A.unit_coords, check=False)
+    C.generators = [C.algebra.basis_element(C.index[(k,)])
+                    for k in range(C.form.dim)]
+
+
+@pytest.mark.parametrize("make_form", [golden_f3t_form, char2_pair_form])
+def test_defining_identity_check_catches_each_changed_cell(make_form):
+    n = make_form().dim
+    for i in range(n):
+        for j in range(n):
+            C = clifford_algebra(make_form())
+            assert C.algebra.dim == 16
+            C._check_defining_identity()
+            _with_cell_changed(C, i, j)
+            with pytest.raises(CliffordError):
+                C._check_defining_identity()
+
+
+def _sampled_identity_holds(C, rng, count=100):
+    """The sampled check the exact one replaced: v^2 = f(v) on random v."""
+    F = C.form.field
+    for _ in range(count):
+        u = [F.random_element(rng, 5) for _ in range(C.form.dim)]
+        v = C.vector_element(u)
+        if v * v != C.algebra.scalar(C.form.evaluate(u)):
+            return False
+    return True
+
+
+F4 = FiniteField(2, 2)
+F5 = FiniteField(5)
+
+
+@pytest.mark.parametrize("form", [
+    qform(1, -2, 3, Fraction(5, 7)),
+    QuadraticForm(F5, (1, 2, 3, 4), False),
+    golden_f3t_form(),
+    QuadraticForm(F4, ((F4.generator(), F4.one()),
+                       (F4.one(), F4.generator())), True),
+], ids=["Q", "F5", "F3(t)", "F4-char2"])
+def test_sampled_identity_oracle(form):
+    C = clifford_algebra(form)
+    assert _sampled_identity_holds(C, random.Random(0))
+
+
+def test_extract_E_is_freed_without_the_cyclic_collector():
+    """E keeps the coordinates of its marked generators, not elements of
+    itself, so it holds no reference cycle."""
+    f = golden_f3t_form()
+    gc.collect()
+    gc.disable()
+    try:
+        E = extract_E(f)
+        x, y = E.symbol_generators
+        assert x.algebra is E and y.algebra is E
+        ref = weakref.ref(E)
+        del E, x, y
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quatalg import forms
 from quatalg.fields import FiniteField, FunctionField, LaurentField, Rationals
 from quatalg.forms import (
     FormError,
@@ -335,3 +336,84 @@ def test_any_rank_isotropy_and_representation_match_enumeration(F, n, data):
 
     dec = witt_decompose(f)
     assert dec.verify() and 2 * dec.index + dec.anisotropic.dim == n
+
+
+# -- the polynomial witness search against a per-candidate reference ---------
+
+
+def _reference_search(f, c, degree_bound, budget=200000):
+    """The first nonzero candidate vector v with f(v) = c, evaluating f on
+    every candidate in itertools.product order, or None once the budget
+    of candidates (the zero vector included) is spent."""
+    F = f.field
+    cands = forms._poly_candidates(F, degree_bound)
+    for count, vec in enumerate(
+            itertools.product(range(len(cands)), repeat=f.dim), 1):
+        if count > budget:
+            return None
+        if all(i == 0 for i in vec):
+            continue
+        v = [cands[i] for i in vec]
+        if F.eq(f.evaluate(v), c):
+            return v
+    return None
+
+
+def _parsed(F, diag=None, pairs=None):
+    if pairs is not None:
+        return QuadraticForm(
+            F, tuple((F.parse(a), F.parse(b)) for a, b in pairs), True)
+    return QuadraticForm(F, tuple(F.parse(a) for a in diag), False)
+
+
+F3T, F5T, F2T = FunctionField(F3), FunctionField(F5), FunctionField(F2)
+L5 = LaurentField(F5)
+
+ISOTROPY_SEARCHES = [
+    # the isotropic golden forms over F_3(t), F_3((t)) and F_5((t))
+    (F3T, ["1", "t", "2", "2*t"]),
+    (L3, ["1", "t", "2", "2*t"]),
+    (L5, ["t", "1", "1"]),
+    # isotropic, but every zero lies past the 200000-candidate budget
+    (L5, ["1", "1", "t"]),
+    # the witness comes early among 6561 candidates per coordinate
+    (FunctionField(F9), ["1", "1"]),
+]
+
+
+@pytest.mark.parametrize("F,diag", ISOTROPY_SEARCHES,
+                         ids=["%s-%s" % (F.name, "-".join(d))
+                              for F, d in ISOTROPY_SEARCHES])
+def test_isotropy_search_matches_reference(F, diag):
+    f = _parsed(F, diag)
+    want = _reference_search(f, F.zero(), 3)
+    assert forms._search_poly(f, F.zero(), 3) == want
+    res = is_isotropic(f)
+    assert res.status is True and res.witness == want
+
+
+def test_representation_search_matches_reference():
+    """c != 0, both characteristics, found and not found within the
+    candidates of degree <= 2; the forms are anisotropic, so `represents`
+    answers with the search's witness."""
+    cases = [(_parsed(F3T, ["1", "t+1"]), F3T, 2),
+             (_parsed(F3T, ["1", "1", "t"]), F3T, 1),
+             (_parsed(F2T, pairs=[["1", "1"]]), F2T, 2),
+             (_parsed(F2T, pairs=[["1", "1"], ["t", "t"]]), F2T, 2)]
+    found = missed = 0
+    for f, F, degree in cases:
+        for c in forms._poly_candidates(F, degree)[1:]:
+            want = _reference_search(f, c, 2)
+            assert forms._search_poly(f, c, 2) == want, (f, F.fmt(c))
+            assert represents(f, c).witness == want, (f, F.fmt(c))
+            found += want is not None
+            missed += want is None
+    assert found and missed
+
+
+@pytest.mark.parametrize("pairs", [[["1", "1"]], [["1", "1"], ["t", "t"]],
+                                   [["1", "t"], ["t", "1/t"]]])
+def test_char2_isotropy_search_matches_reference(pairs):
+    f = _parsed(F2T, pairs=pairs)
+    assert forms._search_poly(f, F2T.zero(), 3) == \
+        _reference_search(f, F2T.zero(), 3)
