@@ -21,6 +21,19 @@ class AlgebraError(ValueError):
 #: verify a deterministic sample of triples instead
 _FULL_CHECK_DIM = 64
 
+# Search bounds, each read where its loop runs.
+#: elements find_zero_divisor tries
+ZERO_DIVISOR_TRIES = 2000
+#: further random elements is_division tries in a noncommutative algebra
+#: over a finite field too large to enumerate
+DIVISION_RANDOM_TRIES = 100000
+#: largest q^dim whose elements is_division enumerates
+EXHAUSTIVE_DIVISION_SIZE = 1 << 16
+#: largest q^dim whose elements _single_generator_iso scans
+EXHAUSTIVE_ISO_SIZE = 1 << 14
+#: random elements split_as_m2 tries while shrinking a left ideal
+IDEAL_SHRINK_TRIES = 200
+
 
 class StructureConstantAlgebra:
     def __init__(self, field, table, basis_labels=None, unit=None, check=True):
@@ -468,7 +481,7 @@ def _factor_once(F, poly):
     d = P.deg(poly)
     if d <= 1:
         return None
-    if hasattr(F, "elements"):
+    if F.finite:
         _, facs = P.factor_monic(F, poly)
         if len(facs) == 1 and facs[0][1] == 1:
             return None
@@ -528,8 +541,10 @@ def _zero_divisor_from(a):
     return u, v
 
 
-def find_zero_divisor(A, budget=2000):
-    """A pair (u, v) of nonzero elements with u*v = 0, or None."""
+def find_zero_divisor(A):
+    """A pair (u, v) of nonzero elements with u*v = 0, or None, among
+    ZERO_DIVISOR_TRIES elements: basis elements, sums of two, then
+    seeded random elements."""
     if A.dim == 1:
         return None
     candidates = list(A.basis())
@@ -543,9 +558,9 @@ def find_zero_divisor(A, budget=2000):
         if pair is not None:
             return pair
         tried += 1
-        if tried >= budget:
+        if tried >= ZERO_DIVISOR_TRIES:
             return None
-    while tried < budget:
+    while tried < ZERO_DIVISOR_TRIES:
         a = A.random_element(rng)
         pair = _zero_divisor_from(a)
         if pair is not None:
@@ -566,7 +581,7 @@ class DivisionResult:
         return "DivisionResult(%r, method=%r)" % (self.status, self.method)
 
 
-def is_division(A, budget=2000):
+def is_division(A):
     if A.dim == 1:
         return DivisionResult(True, method="trivial")
     F = A.field
@@ -574,12 +589,11 @@ def is_division(A, budget=2000):
         from .quaternions import division_via_norm_form
 
         return division_via_norm_form(A)
-    pair = find_zero_divisor(A, budget)
+    pair = find_zero_divisor(A)
     if pair is not None:
         return DivisionResult(False, pair, "zero-divisor")
-    if hasattr(F, "elements"):
-        size = len(list(F.elements())) ** A.dim
-        if size <= 1 << 16:
+    if F.finite:
+        if F.order ** A.dim <= EXHAUSTIVE_DIVISION_SIZE:
             elems = _all_elements(A)
             for a in elems:
                 if a.is_zero():
@@ -593,7 +607,7 @@ def is_division(A, budget=2000):
         if not is_commutative(A):
             # a finite division ring is commutative, so keep searching
             rng = random.Random(1)
-            for _ in range(50 * budget):
+            for _ in range(DIVISION_RANDOM_TRIES):
                 pair = _zero_divisor_from(A.random_element(rng))
                 if pair is not None:
                     return DivisionResult(False, pair, "zero-divisor")
@@ -652,20 +666,20 @@ def matrix_algebra_m2(F):
         (F.one(), F.zero(), F.zero(), F.one()))
 
 
-def split_as_m2(A, budget=2000):
+def split_as_m2(A):
     """For a split 4-dim central simple algebra, an isomorphism matrix
     A -> M_2(F) (acting on coordinates); None if no zero divisor found."""
     if A.dim != 4:
         raise AlgebraError("split_as_m2 expects a 4-dimensional algebra")
     F = A.field
-    pair = find_zero_divisor(A, budget)
+    pair = find_zero_divisor(A)
     if pair is None:
         return None
     u = pair[1]  # u*v = 0 with v != 0, so left ideal A*u is proper
     ideal = _left_ideal(A, u)
     guard = 0
     rng = random.Random(2)
-    while len(ideal) != 2 and guard < 200:
+    while len(ideal) != 2 and guard < IDEAL_SHRINK_TRIES:
         w = A.element([F.sum_([F.mul(F.random_element(rng, 3), row[i])
                                for row in ideal])
                        for i in range(A.dim)])
@@ -712,7 +726,7 @@ def _left_ideal(A, u):
 def _single_generator_iso(A, B):
     """Isomorphism search for algebras generated by one element (finite F)."""
     F = A.field
-    if not hasattr(F, "elements"):
+    if not F.finite:
         return None
     gen = None
     for a in A.basis():
@@ -722,7 +736,7 @@ def _single_generator_iso(A, B):
     if gen is None:
         return None
     m = minimal_polynomial(gen)
-    if len(list(F.elements())) ** B.dim > 1 << 14:
+    if F.order ** B.dim > EXHAUSTIVE_ISO_SIZE:
         return None
     for h in _all_elements(B):
         if minimal_polynomial(h) != m:
@@ -747,7 +761,7 @@ def _single_generator_iso(A, B):
     return None
 
 
-def find_isomorphism(A, B, budget=2000):
+def find_isomorphism(A, B):
     """A coordinate matrix of a unital algebra isomorphism, or None."""
     if A.field != B.field or A.dim != B.dim:
         return None
@@ -759,20 +773,20 @@ def find_isomorphism(A, B, budget=2000):
         v = B.unit_coords[0]
         return [[F.div(v, u)]]
     if A.dim == 4:
-        pa = split_as_m2(A, budget)
-        pb = split_as_m2(B, budget)
+        pa = split_as_m2(A)
+        pb = split_as_m2(B)
         if pa is not None and pb is not None:
             phi = linalg.mat_mul(F, linalg.invert(F, pb), pa)
             if verify_isomorphism(A, B, phi):
                 return phi
         if (pa is None) != (pb is None):
-            da = is_division(A, budget)
-            db = is_division(B, budget)
+            da = is_division(A)
+            db = is_division(B)
             if da.status is not None and db.status is not None \
                     and da.status != db.status:
                 return None
         if A.symbol is not None and B.symbol is not None:
             from .quaternions import isomorphism_between_realizations
 
-            return isomorphism_between_realizations(A, B, budget=budget)
+            return isomorphism_between_realizations(A, B)
     return _single_generator_iso(A, B)

@@ -23,7 +23,19 @@ from .algebras import (
     subalgebra_closure,
 )
 
+# Search bounds, each read where its loop runs.
+#: candidates per search for a commuting link or a twisted partner
 SEARCH_BUDGET = 5000
+#: candidates per partner search of the char-2 one-link and bridge shapes
+DIRECT_TWIST_BUDGET = 500
+#: elements of F[w] that _quadratic_inside sweeps
+QUADRATIC_SWEEP = 400
+#: random partners the char != 2 bridge draws per endpoint
+PARTNER_TRIES = 40
+#: partners the char != 2 bridge keeps per endpoint
+PARTNER_LIMIT = 12
+#: random middle nodes the char-2 bridge draws
+BRIDGE_DRAWS = 200
 
 
 class ChainError(ValueError):
@@ -125,20 +137,20 @@ def _normalize_quadratic(w):
     return w if cls.kind == ElementClass.SQUARE_CENTRAL else None
 
 
-def _quadratic_inside(w, budget=400):
+def _quadratic_inside(w):
     """A square-central / Artin-Schreier element of F[w], if any."""
     v = _normalize_quadratic(w)
     if v is not None:
         return v
     A = w.algebra
     F = A.field
-    if not hasattr(F, "elements"):
+    if not F.finite:
         return None
     m = minimal_polynomial(w)
     d = len(m) - 1
     if d % 2 == 0:
         # in a field F_{q^d}, the (q^d-1)/(q^2-1) power lies in F_{q^2}
-        q = len(list(F.elements()))
+        q = F.order
         u = w ** ((q ** d - 1) // (q * q - 1))
         v = _normalize_quadratic(u)
         if v is not None:
@@ -150,7 +162,7 @@ def _quadratic_inside(w, budget=400):
     count = 0
     for coeffs in itertools.product(F.elements(), repeat=len(powers)):
         count += 1
-        if count > budget:
+        if count > QUADRATIC_SWEEP:
             return None
         u = A.zero()
         for c, p in zip(coeffs, powers):
@@ -161,7 +173,7 @@ def _quadratic_inside(w, budget=400):
     return None
 
 
-def _candidate_stream(A, pool, rng, budget):
+def _candidate_stream(A, pool, rng):
     """Deterministic candidate elements: the pool, pairwise sums and
     products, then seeded random combinations of the pool."""
     for v in pool:
@@ -170,7 +182,7 @@ def _candidate_stream(A, pool, rng, budget):
         yield u + v
         yield u * v
     count = 0
-    while count < budget:
+    while count < SEARCH_BUDGET:
         w = A.zero()
         for v in pool:
             w = w + v.scale(A.field.random_element(rng, 3))
@@ -178,7 +190,7 @@ def _candidate_stream(A, pool, rng, budget):
         count += 1
 
 
-def find_commuting_link(x, t, budget=SEARCH_BUDGET, avoid=()):
+def find_commuting_link(x, t, avoid=()):
     """A square-central (or, in char 2, possibly Artin-Schreier) element
     commuting with both x and t, found constructively.
 
@@ -220,16 +232,16 @@ def find_commuting_link(x, t, budget=SEARCH_BUDGET, avoid=()):
     pool.extend(cen)
     rng = random.Random(7)
     seen = 0
-    for w in _candidate_stream(A, pool, rng, budget):
+    for w in _candidate_stream(A, pool, rng):
         seen += 1
-        if seen > budget:
+        if seen > SEARCH_BUDGET:
             break
         z = _quadratic_inside(w)
         if acceptable(z):
             return z
     raise SearchExhausted(
         "no commuting square-central/Artin-Schreier element found within "
-        "budget %d" % budget)
+        "budget %d" % SEARCH_BUDGET)
 
 
 # -- solving for twisted partners inside subspaces ------------------------
@@ -301,7 +313,7 @@ def _search_square_unit(A, particular, homogeneous, budget=SEARCH_BUDGET,
         return None
 
     base = particular if particular is not None else A.zero()
-    if hasattr(F, "elements") and len(homogeneous) <= 4:
+    if F.finite and len(homogeneous) <= 4:
         els = list(F.elements())
         count = 0
         for coeffs in itertools.product(els, repeat=len(homogeneous)):
@@ -330,7 +342,7 @@ def _search_square_unit(A, particular, homogeneous, budget=SEARCH_BUDGET,
     return None
 
 
-def decompose_with_marked_elements(A, x, xp, budget=SEARCH_BUDGET):
+def decompose_with_marked_elements(A, x, xp):
     """Present a 16-dimensional algebra as Q1 (x) Q2 with x a symbol
     generator of Q1 and xp a symbol generator of Q2.
 
@@ -372,7 +384,7 @@ def decompose_with_marked_elements(A, x, xp, budget=SEARCH_BUDGET):
         if part is None:
             raise ChainError("the twist equation w*x + x*w = x has no "
                              "solution")
-        w1 = _search_square_unit(A, part, hom, budget, artin_schreier=True)
+        w1 = _search_square_unit(A, part, hom, artin_schreier=True)
         if w1 is None:
             raise SearchExhausted("no Artin-Schreier partner for the "
                                   "square-central marked element")
@@ -380,7 +392,7 @@ def decompose_with_marked_elements(A, x, xp, budget=SEARCH_BUDGET):
         s1 = QuaternionSymbol(F, (w1 * w1 + w1).central_value(), cx.value)
     else:
         _, hom = _solve_in_span(A, _twist_rows(A, x) + _commute_rows(A, xp))
-        y1 = _search_square_unit(A, None, hom, budget)
+        y1 = _search_square_unit(A, None, hom)
         if y1 is None:
             raise SearchExhausted("no twisted partner for the first marked "
                                   "element within budget")
@@ -395,7 +407,7 @@ def decompose_with_marked_elements(A, x, xp, budget=SEARCH_BUDGET):
     span2 = linalg.row_space_basis(F, [list(v.coords) for v in c2])
     if linalg.in_span(F, span2, list(xp.coords)) is None:
         raise ChainError("second marked element escaped its factor")
-    y2 = _twisted_sc(A, [xp], budget, span=span2)
+    y2 = _twisted_sc(A, [xp], span=span2)
     if y2 is None:
         raise SearchExhausted("no twisted partner for the second marked "
                               "element within budget")
@@ -462,18 +474,18 @@ def _locate_factor(P, v):
     return None
 
 
-def _factor_partner(P, i, x, budget=SEARCH_BUDGET):
+def _factor_partner(P, i, x):
     """Twisted partner of x inside factor i of the presentation."""
     gx, gy = P.generators[i]
     if x == gx:
         return gy
-    y = _twisted_sc(P.algebra, [x], budget, span=_factor_span(P, i))
+    y = _twisted_sc(P.algebra, [x], span=_factor_span(P, i))
     if y is None:
         raise SearchExhausted("no twisted partner inside the factor")
     return y
 
 
-def mixed_link(P, x, xp, budget=SEARCH_BUDGET):
+def mixed_link(P, x, xp):
     """char 2, x square-central in one factor, xp Artin-Schreier in
     another: (z, w) with w Artin-Schreier, w x + x w = x, and z
     square-central with w z + z w = z = xp z + z xp."""
@@ -498,14 +510,14 @@ def mixed_link(P, x, xp, budget=SEARCH_BUDGET):
         if part is None:
             raise ChainError("no solution to the twist equation in the "
                              "factor")
-        w = _search_square_unit(A, part, hom, budget, artin_schreier=True)
+        w = _search_square_unit(A, part, hom, artin_schreier=True)
         if w is None:
             raise SearchExhausted("no Artin-Schreier element twisting the "
                                   "square-central marker")
     if w * x + x * w != x:
         raise ChainError("twist relation w x + x w = x fails")
-    y = _factor_partner(P, i, w, budget)
-    yp = _factor_partner(P, j, xp, budget)
+    y = _factor_partner(P, i, w)
+    yp = _factor_partner(P, j, xp)
     z = y * yp
     _check_link(z, w, xp)
     return z, w
@@ -571,9 +583,9 @@ class Chain:
         }
 
 
-def _anticommuting_sc_candidates(A, elems, rng, tries=40, limit=12):
-    """Several distinct square-central elements anticommuting with every
-    element of elems."""
+def _anticommuting_sc_candidates(A, elems, rng):
+    """Up to PARTNER_LIMIT distinct square-central elements anticommuting
+    with every element of elems."""
     F = A.field
     rows = []
     for e in elems:
@@ -595,34 +607,34 @@ def _anticommuting_sc_candidates(A, elems, rng, tries=40, limit=12):
         consider(h)
     for u, v in itertools.combinations(hom, 2):
         consider(u + v)
-        if len(out) >= limit:
+        if len(out) >= PARTNER_LIMIT:
             return out
-    for _ in range(tries):
+    for _ in range(PARTNER_TRIES):
         w = A.zero()
         for h in hom:
             w = w + h.scale(F.random_element(rng, 3))
         consider(w)
-        if len(out) >= limit:
+        if len(out) >= PARTNER_LIMIT:
             break
     return out
 
 
-def _link_between(x, z, budget=SEARCH_BUDGET):
+def _link_between(x, z):
     """Square-central link twisted by both of the commuting marked
     elements x, z (square-central, char != 2; Artin-Schreier, char 2)."""
     A = x.algebra
     if in_quadratic_span(x, z):
-        y = _twisted_sc(A, [x, z], budget)
+        y = _twisted_sc(A, [x, z])
         if y is None:
             raise SearchExhausted(
                 "no %s square-central element"
                 % ("twisting" if A.field.char == 2 else "anticommuting"))
         return y
-    P = decompose_with_marked_elements(A, x, z, budget)
+    P = decompose_with_marked_elements(A, x, z)
     return find_anticommuting_link(P, x, z)
 
 
-def chain(x, xp, budget=SEARCH_BUDGET):
+def chain(x, xp):
     """A chain between two square-central (char != 2) or Artin-Schreier
     (char 2) elements of a degree-4 algebra, per-link verified."""
     A = x.algebra
@@ -638,11 +650,11 @@ def chain(x, xp, budget=SEARCH_BUDGET):
             raise ChainError("trivial chain failed verification")
         return c
     if char2:
-        return _chain_char2(A, x, xp, budget)
-    return _chain_charne2(A, x, xp, budget)
+        return _chain_char2(A, x, xp)
+    return _chain_charne2(A, x, xp)
 
 
-def _chain_charne2(A, x, xp, budget):
+def _chain_charne2(A, x, xp):
     if x * xp == -(xp * x):
         c = Chain([x, xp])
         if not c.verify():
@@ -650,14 +662,14 @@ def _chain_charne2(A, x, xp, budget):
         return c
     if x.commutes_with(xp) and not in_quadratic_span(x, xp):
         x2 = xp
-        x1 = _link_between(x, x2, budget)
+        x1 = _link_between(x, x2)
         c = Chain([x, x1, xp])
         if c.verify():
             return c
     try:
-        x2 = find_commuting_link(x, xp, budget)
-        x1 = _link_between(x, x2, budget)
-        x3 = _link_between(x2, xp, budget)
+        x2 = find_commuting_link(x, xp)
+        x1 = _link_between(x, x2)
+        x3 = _link_between(x2, xp)
         c = Chain([x, x1, x2, x3, xp])
         if not c.verify():
             raise ChainError("assembled chain failed verification")
@@ -682,7 +694,7 @@ def _chain_charne2(A, x, xp, budget):
                     return c
     for x1 in lefts:
         for x3 in rights:
-            x2 = _twisted_sc(A, [x1, x3], budget)
+            x2 = _twisted_sc(A, [x1, x3])
             if x2 is None:
                 continue
             c = Chain([x, x1, x2, x3, xp])
@@ -691,21 +703,21 @@ def _chain_charne2(A, x, xp, budget):
     raise SearchExhausted("no chain found within budget")
 
 
-def _chain_char2(A, x, xp, budget):
-    y_direct = _twisted_sc(A, [x, xp], min(budget, 500))
+def _chain_char2(A, x, xp):
+    y_direct = _twisted_sc(A, [x, xp], DIRECT_TWIST_BUDGET)
     if y_direct is not None:
         c = Chain([x, xp], [y_direct])
         if c.verify():
             return c
     # short shape: x, y1, x1, y2, x'  with x1 Artin-Schreier
     try:
-        z = find_commuting_link(x, xp, budget)
+        z = find_commuting_link(x, xp)
     except SearchExhausted:
         z = None
     if z is not None and classify(z).kind == ElementClass.ARTIN_SCHREIER:
         try:
-            y1 = _link_between(x, z, budget)
-            y2 = _link_between(z, xp, budget)
+            y1 = _link_between(x, z)
+            y2 = _link_between(z, xp)
             c = Chain([x, z, xp], [y1, y2])
             if c.verify():
                 return c
@@ -714,10 +726,10 @@ def _chain_char2(A, x, xp, budget):
     if z is not None and classify(z).kind == ElementClass.SQUARE_CENTRAL:
         try:
             # long shape via the mixed construction on (z, x) and (z, x')
-            P1 = decompose_with_marked_elements(A, z, x, budget)
-            z1, w1 = mixed_link(P1, z, x, budget)
-            P2 = decompose_with_marked_elements(A, z, xp, budget)
-            z2, w2 = mixed_link(P2, z, xp, budget)
+            P1 = decompose_with_marked_elements(A, z, x)
+            z1, w1 = mixed_link(P1, z, x)
+            P2 = decompose_with_marked_elements(A, z, xp)
+            z2, w2 = mixed_link(P2, z, xp)
             # chain x, z1, w1, z, w2, z2, x'
             c = Chain([x, w1, w2, xp], [z1, z, z2])
             if c.verify():
@@ -726,15 +738,15 @@ def _chain_char2(A, x, xp, budget):
             pass
     # bridge through a random Artin-Schreier middle node
     rng = random.Random(29)
-    for _ in range(200):
+    for _ in range(BRIDGE_DRAWS):
         w = A.random_element(rng, 3)
         x1 = _quadratic_inside(w)
         if x1 is None or classify(x1).kind != ElementClass.ARTIN_SCHREIER:
             continue
-        y1 = _twisted_sc(A, [x, x1], min(budget, 500))
+        y1 = _twisted_sc(A, [x, x1], DIRECT_TWIST_BUDGET)
         if y1 is None:
             continue
-        y2 = _twisted_sc(A, [x1, xp], min(budget, 500))
+        y2 = _twisted_sc(A, [x1, xp], DIRECT_TWIST_BUDGET)
         if y2 is None:
             continue
         c = Chain([x, x1, xp], [y1, y2])
@@ -743,7 +755,7 @@ def _chain_char2(A, x, xp, budget):
     raise SearchExhausted("no chain found within budget")
 
 
-def tensor_chain_via_common_element(P, Pp, budget=SEARCH_BUDGET):
+def tensor_chain_via_common_element(P, Pp):
     """Slot chain between two presentations of the same biquaternion
     algebra, through an element commuting with both first generators."""
     from .quaternions import QuaternionError, SlotChain
@@ -758,20 +770,20 @@ def tensor_chain_via_common_element(P, Pp, budget=SEARCH_BUDGET):
     x = P.generators[0][0]
     xp = Pp.generators[0][0]
     char2 = F.char == 2
-    z = find_commuting_link(x, xp, budget, avoid=(x, xp))
+    z = find_commuting_link(x, xp, avoid=(x, xp))
     zc = classify(z)
     ambient = {"kind": "ambient"}
     if not char2 or zc.kind == ElementClass.ARTIN_SCHREIER:
-        node2 = decompose_with_marked_elements(A, x, z, budget)
-        node3 = decompose_with_marked_elements(A, xp, z, budget)
+        node2 = decompose_with_marked_elements(A, x, z)
+        node3 = decompose_with_marked_elements(A, xp, z)
         links = [
             {"left_factor": 0, "right_factor": 0, "slot": "a"},
             {"left_factor": 1, "right_factor": 1, "slot": "a"},
             {"left_factor": 0, "right_factor": 0, "slot": "a"},
         ]
     else:
-        node2 = decompose_with_marked_elements(A, z, x, budget)
-        node3 = decompose_with_marked_elements(A, z, xp, budget)
+        node2 = decompose_with_marked_elements(A, z, x)
+        node3 = decompose_with_marked_elements(A, z, xp)
         links = [
             {"left_factor": 0, "right_factor": 1, "slot": "a"},
             {"left_factor": 0, "right_factor": 0, "slot": "b"},

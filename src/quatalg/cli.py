@@ -275,7 +275,7 @@ def cmd_algebra_chain(args):
     x = A.element([F.parse(c) for c in _load_json(args.x)])
     xp = A.element([F.parse(c) for c in _load_json(args.xprime)])
     try:
-        c = chain(x, xp, budget=args.max_nodes or 5000)
+        c = chain(x, xp)
     except SearchExhausted as exc:
         _emit({"error": str(exc)}, args.out)
         return EXIT_UNKNOWN
@@ -351,7 +351,6 @@ def _common(p):
                         "internally, so output never depends on it")
     p.add_argument("--out", help="write the JSON result to this path")
     p.add_argument("--max-height", type=int, default=None)
-    p.add_argument("--max-nodes", type=int, default=None)
 
 
 def build_parser():

@@ -229,7 +229,7 @@ class PrimeField(Field):
             return True, c
         if pow(c, (self.p - 1) // 2, self.p) != 1:
             return False, None
-        return True, _tonelli(c, self.p)
+        return True, _tonelli_generic(self, c)
 
     def artin_schreier_solve(self, c):
         if self.p != 2:
@@ -253,30 +253,6 @@ class PrimeField(Field):
 
     def _key(self):
         return ("GF", self.p, 1)
-
-
-def _tonelli(n, p):
-    """Square root mod odd prime p of a known quadratic residue n."""
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    # Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
 
 
 class ExtensionField(Field):
@@ -680,22 +656,17 @@ class LaurentField(FunctionField):
         self.name = "%s((%s))" % (base.name, var)
 
     def is_square(self, c):
-        B = self.base
-        if not c[0]:
-            return True, self.zero()
         if self.char == 2:
             # squares of GF(q)((t)) are exactly GF(q)((t^2)); for rational c
             # this holds iff num*den has only even exponents, and then the
-            # square root is rational too
-            prod = P.mul(B, c[0], c[1])
-            root = P.sqrt(B, prod)
-            if root is None:
-                return False, None
-            return True, self._make(root, c[1])
+            # square root is rational too, so F_q(t)'s test decides
+            return FunctionField.is_square(self, c)
+        if not c[0]:
+            return True, self.zero()
         v = self.valuation(c)
         if v % 2 != 0:
             return False, None
-        ok, _ = B.is_square(self.residue_at_zero(c))
+        ok, _ = self.base.is_square(self.residue_at_zero(c))
         if not ok:
             return False, None
         _, w = FunctionField.is_square(self, c)

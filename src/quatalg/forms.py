@@ -21,6 +21,12 @@ from .fields import (
     Rationals,
 )
 
+# Search bounds, each read where its loop runs.
+#: polynomial vectors _search_poly tries (F_q(t), F_q((t)))
+POLY_CANDIDATES = 200000
+#: integer vectors _search_representation tries over Q
+RATIONAL_CANDIDATES = 500000
+
 
 class FormError(ValueError):
     pass
@@ -286,7 +292,6 @@ def _search_poly(f, c, degree_bound):
     representations."""
     F = f.field
     cands = _poly_candidates(F, degree_bound)
-    budget = 200000
     # f is the sum of its blocks (one diagonal entry, or one char-2 pair);
     # a block's value on its candidate indices is computed on first use and
     # reused.  sums[b] holds the value of the first b blocks of the last
@@ -299,7 +304,7 @@ def _search_poly(f, c, degree_bound):
     count = 0
     for vec in itertools.product(range(len(cands)), repeat=f.dim):
         count += 1
-        if count > budget:
+        if count > POLY_CANDIDATES:
             return None
         p = 0
         if last is not None:
@@ -679,7 +684,6 @@ def _search_representation(f, c, search_bound):
     F = f.field
     if isinstance(F, Rationals):
         height = search_bound or 30
-        budget = 500000
         spent = 0
         for d in range(1, 9):
             den = F.from_int(d)
@@ -688,7 +692,7 @@ def _search_representation(f, c, search_bound):
             target = F.mul(c, F.mul(den, den))
             for vec in itertools.product(cands, repeat=f.dim):
                 spent += 1
-                if spent > budget:
+                if spent > RATIONAL_CANDIDATES:
                     return None
                 if F.eq(f.evaluate(list(vec)), target):
                     return [F.div(x, den) for x in vec]

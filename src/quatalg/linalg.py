@@ -150,17 +150,3 @@ def in_span(F, basis, v):
     cols = [[basis[j][i] for j in range(len(basis))] for i in range(len(v))]
     return solve(F, cols, v)
 
-
-def kronecker(F, a, b):
-    ra, ca = len(a), len(a[0])
-    rb, cb = len(b), len(b[0])
-    out = zeros(F, ra * rb, ca * cb)
-    for i in range(ra):
-        for j in range(ca):
-            c = a[i][j]
-            if F.is_zero(c):
-                continue
-            for k in range(rb):
-                for l in range(cb):
-                    out[i * rb + k][j * cb + l] = F.mul(c, b[k][l])
-    return out

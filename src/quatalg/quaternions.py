@@ -17,13 +17,19 @@ from .algebras import (
     DivisionResult,
     StructureConstantAlgebra,
     find_isomorphism,
-    split_as_m2,
     tensor_element,
     tensor_product,
     verify_isomorphism,
 )
 from .fields import FieldError
 from .forms import is_isometric, is_isotropic, quaternion_norm_form, represents
+
+
+# Search bounds, each read where its loop runs.
+#: elements tried for X with X^2 + X = a in a char-2 realization
+AS_ELEMENT_CANDIDATES = 20000
+#: slot values common_slot_chain tries, at most
+SLOT_CANDIDATES = 100000
 
 
 class QuaternionError(ValueError):
@@ -214,12 +220,12 @@ def _find_square_root_element(B, a):
     return x.scale(c1) + y.scale(c2) + (x * y).scale(c3)
 
 
-def _find_artin_schreier_element(B, a, budget=20000):
+def _find_artin_schreier_element(B, a):
     """Element X of a char-2 realization B with X^2 + X = a, noncentral."""
     F = B.field
     x, y = B.symbol_generators
     k = x * y
-    if not hasattr(F, "elements"):
+    if not F.finite:
         return None
     count = 0
     for c0, c2, c3 in itertools.product(F.elements(), repeat=3):
@@ -229,7 +235,7 @@ def _find_artin_schreier_element(B, a, budget=20000):
         if (X * X + X) == B.scalar(a):
             return X
         count += 1
-        if count > budget:
+        if count > AS_ELEMENT_CANDIDATES:
             break
     return None
 
@@ -243,7 +249,7 @@ def _twisting_partner(B, X, b):
     if not space:
         return None
     target = B.scalar(b)
-    if hasattr(F, "elements"):
+    if F.finite:
         for coeffs in itertools.product(F.elements(), repeat=len(space)):
             Y = B.zero()
             for c, v in zip(coeffs, space):
@@ -304,7 +310,7 @@ def _matrix_from_generator_images(A, B, X, Y):
     return linalg.mat_mul(F, dst_mat, inv)
 
 
-def isomorphism_between_realizations(A, B, budget=20000):
+def isomorphism_between_realizations(A, B):
     """Explicit isomorphism matrix between two marked realizations."""
     sa, sb = A.symbol, B.symbol
     if sa is None or sb is None:
@@ -313,7 +319,7 @@ def isomorphism_between_realizations(A, B, budget=20000):
         return None
     F = A.field
     if sa.char2:
-        X = _find_artin_schreier_element(B, sa.a, budget)
+        X = _find_artin_schreier_element(B, sa.a)
     else:
         X = _find_square_root_element(B, sa.a)
     if X is None:
@@ -327,23 +333,12 @@ def isomorphism_between_realizations(A, B, budget=20000):
     return None
 
 
-def realization_isomorphism(A, B, budget=20000):
-    """Isomorphism between realizations, trying the split route first."""
-    pa = split_as_m2(A, budget=200)
-    pb = split_as_m2(B, budget=200)
-    if pa is not None and pb is not None:
-        phi = linalg.mat_mul(A.field, linalg.invert(A.field, pb), pa)
-        if verify_isomorphism(A, B, phi):
-            return phi
-    return isomorphism_between_realizations(A, B, budget)
-
-
 # -- candidate enumeration for slot searches ------------------------------
 
 
 def ascending_elements(F, max_height):
     """Nonzero field elements in a deterministic small-to-large order."""
-    if hasattr(F, "elements"):
+    if F.finite:
         yield from F.nonzero_elements()
         return
     if F.char == 0:
@@ -434,7 +429,7 @@ def common_slot_chain(s, sp, max_height=6):
         chain = attempt(beta)
         if chain is not None:
             return chain
-        if len(seen) > 100000:
+        if len(seen) > SLOT_CANDIDATES:
             break
     raise SlotSearchExhausted(
         "no shared slot value found within height %d" % max_height)
@@ -554,21 +549,20 @@ def _check_evidence(ev, left, right):
     return False
 
 
-def _factorwise_evidence(left, right, budget=20000):
+def _factorwise_evidence(left, right):
     isos = []
     for ls, rs in zip(left.symbols, right.symbols):
         if ls == rs:
             isos.append("identity")
             continue
-        phi = realization_isomorphism(realize(ls), realize(rs),
-                                      budget=budget)
+        phi = find_isomorphism(realize(ls), realize(rs))
         if phi is None:
             return None
         isos.append(phi)
     return {"kind": "factorwise", "isos": isos}
 
 
-def common_slot_chain_tensor(P, Pp, max_height=6, budget=20000):
+def common_slot_chain_tensor(P, Pp):
     """A slot chain (at most 4 nodes) between isomorphic tensor products."""
     F = P.algebra.field
     if len(P.symbols) != len(Pp.symbols):
@@ -596,7 +590,7 @@ def common_slot_chain_tensor(P, Pp, max_height=6, budget=20000):
         ]
         evidence = []
         for left, right in zip(nodes, nodes[1:]):
-            ev = _factorwise_evidence(left, right, budget)
+            ev = _factorwise_evidence(left, right)
             if ev is None:
                 raise SlotSearchExhausted(
                     "failed to certify a factorwise isomorphism along the "
@@ -611,7 +605,7 @@ def common_slot_chain_tensor(P, Pp, max_height=6, budget=20000):
     if P.algebra == Pp.algebra:
         from .chains import tensor_chain_via_common_element
 
-        return tensor_chain_via_common_element(P, Pp, budget=budget)
+        return tensor_chain_via_common_element(P, Pp)
     raise SlotSearchExhausted(
         "unsupported instance: factors are not provably split and the "
         "presentations do not share an ambient algebra")

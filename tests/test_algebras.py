@@ -176,7 +176,7 @@ def test_zero_divisors_and_division():
 
 
 def test_is_division_unknown_over_q_without_symbol():
-    assert is_division(H, budget=100).status is None
+    assert is_division(H).status is None
 
 
 def test_split_as_m2():

@@ -76,8 +76,10 @@ def test_cli_golden_output(capsys):
     division over F_5(t) and F_3((t)), of algebra decompose on each
     pair of marked classes (both square-central in characteristic 3; both
     Artin-Schreier, and square-central with Artin-Schreier, in
-    characteristic 2), of algebra chain in characteristics 3 and 2, and
-    of clifford extract-e over F_3(t) and F_2(t)."""
+    characteristic 2), of algebra chain in characteristics 3 and 2, of
+    clifford extract-e over F_3(t) and F_2(t), of algebra tensor over
+    F_3, of verify suite witt, and of quat chain over Q, found (exit 0)
+    and past the default height (exit 2)."""
     with open(GOLDEN) as fh:
         cases = json.load(fh)
     for case in cases:

@@ -121,7 +121,7 @@ def test_extract_E_m2_over_q():
     hamilton = QuaternionSymbol(Q, Fraction(-1), Fraction(-1))
     assert are_isomorphic(s, hamilton) is True
     # so E has no zero divisors in easy reach
-    assert find_zero_divisor(E, budget=200) is None
+    assert find_zero_divisor(E) is None
 
 
 def test_extract_E_norm_form_char2():

@@ -91,6 +91,29 @@ def test_is_square_examples():
         assert F3t.mul(u, u) != t
 
 
+def test_prime_field_square_roots_pinned():
+    # p = 1 mod 4 runs the Tonelli-Shanks loop; the least nonresidue is 3
+    # for 17 and 41 and 5 for 73 and 97.  p = 3 mod 4 takes the one-power
+    # shortcut.
+    pinned = {
+        17: {2: 6, 8: 12, 13: 8},
+        41: {2: 17, 5: 28, 8: 34},
+        73: {2: 32, 3: 21, 6: 15},
+        97: {2: 83, 3: 87, 6: 54},
+        19: {5: 9, 6: 5, 7: 11},
+        43: {6: 36, 10: 15, 11: 21},
+    }
+    for p, roots in pinned.items():
+        F = FiniteField(p)
+        for c, r in roots.items():
+            assert F.is_square(c) == (True, r)
+        for c in range(1, p):
+            flag, r = F.is_square(c)
+            assert flag == (pow(c, (p - 1) // 2, p) == 1)
+            if flag:
+                assert r * r % p == c
+
+
 def test_artin_schreier_examples():
     assert F2.artin_schreier_solve(0) == (True, 0)
     assert F2.artin_schreier_solve(1) == (False, None)

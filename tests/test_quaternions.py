@@ -16,7 +16,6 @@ from quatalg.quaternions import (
     common_slot_chain_tensor,
     is_division_symbol,
     isomorphism_between_realizations,
-    realization_isomorphism,
     realize,
 )
 
@@ -91,8 +90,8 @@ def test_are_isomorphic_examples():
 def test_symbol_swap_isomorphism_explicit():
     for F in (F3, F5):
         a, b = F.from_int(2), F.from_int(1 if F.char == 3 else 3)
-        phi = realization_isomorphism(realize(sym(F, a, b)),
-                                      realize(sym(F, b, a)))
+        phi = find_isomorphism(realize(sym(F, a, b)),
+                               realize(sym(F, b, a)))
         assert phi is not None
 
 
