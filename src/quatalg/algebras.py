@@ -3,6 +3,16 @@
 An algebra is a field, a basis, and a multiplication tensor stored
 sparsely as ``table[i][j] = {k: c}`` meaning e_i e_j = sum c e_k.
 Elements are coordinate vectors over the field.  Everything is exact.
+
+Over a prime field GF(p) (``polynomials._prime``), ``multiply``, the
+associativity sweep and the left and right multiplication matrices work
+on the int payloads: they accumulate sums of products of ints straight
+from the table and reduce each output coordinate once with ``% p``, with
+no field method call per coefficient.  Other fields go through the
+field's methods, bound once per call; no per-algebra data is cached for
+either path.  The multiplication matrices read the table directly,
+(a e_j)_k = sum_i a_i T[i][j][k], rather than multiplying by each basis
+element.
 """
 
 from __future__ import annotations
@@ -106,62 +116,84 @@ class StructureConstantAlgebra:
                        for _ in range(5000))
         F, T = self.field, self.table
         columns = [tuple(row[k] for row in T) for k in range(n)]
-        products = {}  # c * t for table entries c, t, for this sweep only
+        p = P._prime(F)
+        if p:
+            def associates(i, j, k):
+                # (e_i e_j) e_k - e_i (e_j e_k) in unreduced ints: T[i][j]
+                # against column k of the table, minus T[j][k] against row i
+                out = {}
+                column, row = columns[k], T[i]
+                for m, c in T[i][j].items():
+                    for l, t in column[m].items():
+                        out[l] = out.get(l, 0) + c * t
+                for m, c in T[j][k].items():
+                    for l, t in row[m].items():
+                        out[l] = out.get(l, 0) - c * t
+                return not any(x % p for x in out.values())
+        else:
+            products = {}  # c * t for table entries c, t, this sweep only
+            mul, add = F.mul, F.add
 
-        def combine(terms, cells):
-            # sum over m of terms[m] * cells[m], straight from the table
-            out = {}
-            for m, c in terms.items():
-                for k, t in cells[m].items():
-                    p = products.get((c, t))
-                    if p is None:
-                        p = products[(c, t)] = F.mul(c, t)
-                    out[k] = F.add(out[k], p) if k in out else p
-            return out
+            def combine(terms, cells):
+                # sum over m of terms[m] * cells[m], straight from the table
+                out = {}
+                for m, c in terms.items():
+                    for k, t in cells[m].items():
+                        q = products.get((c, t))
+                        if q is None:
+                            q = products[(c, t)] = mul(c, t)
+                        out[k] = add(out[k], q) if k in out else q
+                return out
+
+            def associates(i, j, k):
+                # (e_i e_j) e_k: T[i][j] against column k of the table;
+                # e_i (e_j e_k): T[j][k] against row i
+                return self._sparse_eq(combine(T[i][j], columns[k]),
+                                       combine(T[j][k], T[i]))
 
         for i, j, k in triples:
-            # (e_i e_j) e_k: T[i][j] against column k of the table;
-            # e_i (e_j e_k): T[j][k] against row i
-            left = combine(T[i][j], columns[k])
-            right = combine(T[j][k], T[i])
-            if not self._sparse_eq(left, right):
+            if not associates(i, j, k):
                 raise AlgebraError(
                     "associativity fails at basis triple (%d,%d,%d)" % (i, j, k))
 
     # -- raw coordinate arithmetic ------------------------------------
 
-    def _mul_sparse(self, a, b):
-        F = self.field
-        out = {}
-        for i, ca in a.items():
-            if F.is_zero(ca):
-                continue
-            for j, cb in b.items():
-                if F.is_zero(cb):
-                    continue
-                c = F.mul(ca, cb)
-                for k, t in self.table[i][j].items():
-                    v = F.add(out.get(k, F.zero()), F.mul(c, t))
-                    if F.is_zero(v):
-                        out.pop(k, None)
-                    else:
-                        out[k] = v
-        return out
-
     def _sparse_eq(self, a, b):
-        F = self.field
-        for k in set(a) | set(b):
-            if not F.eq(a.get(k, F.zero()), b.get(k, F.zero())):
+        eq, zero = self.field.eq, self.field.zero()
+        for k in a.keys() | b.keys():
+            if not eq(a.get(k, zero), b.get(k, zero)):
                 return False
         return True
 
     def multiply(self, u, v):
         """Product of two coordinate vectors, as a coordinate vector."""
-        F = self.field
-        a = {i: c for i, c in enumerate(u) if not F.is_zero(c)}
-        b = {i: c for i, c in enumerate(v) if not F.is_zero(c)}
-        out = self._mul_sparse(a, b)
-        return tuple(out.get(k, F.zero()) for k in range(self.dim))
+        F, T = self.field, self.table
+        p = P._prime(F)
+        if p:
+            out = [0] * self.dim
+            b = [(j, c) for j, c in enumerate(v) if c]
+            for i, ca in enumerate(u):
+                if ca:
+                    row = T[i]
+                    for j, cb in b:
+                        c = ca * cb
+                        for k, t in row[j].items():
+                            out[k] += c * t
+            return tuple([x % p for x in out])
+        is_zero, add, mul = F.is_zero, F.add, F.mul
+        b = [(j, c) for j, c in enumerate(v) if not is_zero(c)]
+        out = {}
+        for i, ca in enumerate(u):
+            if is_zero(ca):
+                continue
+            row = T[i]
+            for j, cb in b:
+                c = mul(ca, cb)
+                for k, t in row[j].items():
+                    x = mul(c, t)
+                    out[k] = add(out[k], x) if k in out else x
+        zero = F.zero()
+        return tuple([out.get(k, zero) for k in range(self.dim)])
 
     # -- element constructors -----------------------------------------
 
@@ -198,19 +230,33 @@ class StructureConstantAlgebra:
 
     def left_mult_matrix(self, a):
         """Matrix of z -> a*z acting on coordinate columns."""
-        F = self.field
-        n = self.dim
-        cols = [self.multiply(a.coords, self.basis_element(j).coords)
-                for j in range(n)]
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
+        return self._mult_matrix(a, True)
 
     def right_mult_matrix(self, a):
         """Matrix of z -> z*a acting on coordinate columns."""
-        F = self.field
-        n = self.dim
-        cols = [self.multiply(self.basis_element(j).coords, a.coords)
-                for j in range(n)]
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
+        return self._mult_matrix(a, False)
+
+    def _mult_matrix(self, a, left):
+        # entry (k, j) is the k-th coordinate of a e_j (left) or e_j a
+        # (right): sum over i of a_i T[i][j][k], or of a_i T[j][i][k]
+        F, T, n = self.field, self.table, self.dim
+        p = P._prime(F)
+        if p:
+            m = [[0] * n for _ in range(n)]
+            for i, c in enumerate(a.coords):
+                if c:
+                    for j in range(n):
+                        for k, t in (T[i][j] if left else T[j][i]).items():
+                            m[k][j] += c * t
+            return [[x % p for x in row] for row in m]
+        is_zero, add, mul = F.is_zero, F.add, F.mul
+        m = [[F.zero()] * n for _ in range(n)]
+        for i, c in enumerate(a.coords):
+            if not is_zero(c):
+                for j in range(n):
+                    for k, t in (T[i][j] if left else T[j][i]).items():
+                        m[k][j] = add(m[k][j], mul(c, t))
+        return m
 
     # -- serialization ---------------------------------------------------
 
@@ -247,8 +293,8 @@ def algebra_from_json(d, field=None):
 
     F = field_from_json(d["field"]) if field is None else field
     n = d["dim"]
-    table = [[{k: F.parse(s) for k, s in enumerate(cell)
-               if not F.is_zero(F.parse(s))}
+    table = [[{k: c for k, c in enumerate(map(F.parse, cell))
+               if not F.is_zero(c)}
               for cell in row] for row in d["table"]]
     unit = [F.parse(s) for s in d["unit"]] if "unit" in d else None
     return StructureConstantAlgebra(F, table, d.get("basis"), unit)
@@ -638,12 +684,13 @@ def verify_isomorphism(A, B, phi):
     one = B.element(linalg.mat_vec(F, phi, list(A.unit_coords)))
     if one != B.one():
         return False
-    for i in range(A.dim):
-        fi = apply_matrix(B, phi, A.basis_element(i))
-        for j in range(A.dim):
-            fj = apply_matrix(B, phi, A.basis_element(j))
-            prod = apply_matrix(B, phi, A.basis_element(i)
-                                * A.basis_element(j))
+    # phi(e_i) phi(e_j) against phi(e_i e_j) = sum_k T[i][j][k] phi(e_k)
+    images = [apply_matrix(B, phi, e) for e in A.basis()]
+    for i, fi in enumerate(images):
+        for j, fj in enumerate(images):
+            prod = B.zero()
+            for k, c in A.table[i][j].items():
+                prod = prod + images[k].scale(c)
             if fi * fj != prod:
                 return False
     return True

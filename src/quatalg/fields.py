@@ -10,6 +10,16 @@ for Q, int for GF(p), tuple of ints for GF(p^k), and (numerator, denominator)
 polynomial pairs for the function fields.  All operations go through the
 field object, e.g. ``F.mul(a, b)``.  Payloads are canonical, so ``==`` on
 payloads of the same field is structural equality.
+
+GF(p^k) multiplies and inverts through log/antilog tables when its order
+is at most ``EXT_TABLE_MAX_ORDER``: ``mul`` is two dict lookups and one
+list index, in place of a polynomial product and a polynomial division.
+The tables are built by that polynomial arithmetic on the first ``mul``
+or ``inv`` of a field and kept per (p, k) for the life of the process,
+since every parse of a field descriptor makes a new ``ExtensionField``.
+Larger fields multiply polynomials.  The structure-constant layer and
+``linalg.rref`` skip the field methods over GF(p) and work on the int
+payloads directly (see ``algebras`` and ``linalg``).
 """
 
 from __future__ import annotations
@@ -23,6 +33,15 @@ from . import polynomials as P
 
 class FieldError(ValueError):
     pass
+
+
+#: largest order of a GF(p^k), k >= 2, that multiplies through
+#: log/antilog tables; larger fields multiply polynomials
+EXT_TABLE_MAX_ORDER = 1 << 10
+
+# (p, k) -> (log, exp): exp[i] = g^i for 0 <= i < 2(q - 1), for a fixed
+# primitive element g, and log[a] = the least i with exp[i] = a
+_EXT_TABLES = {}
 
 
 _TERM_RE = re.compile(r"^([+-]?\d*)\s*(?:\*?\s*([A-Za-z])\s*(?:\^\s*(\d+))?)?$")
@@ -131,6 +150,9 @@ class Rationals(Field):
     def add(self, a, b):
         return a + b
 
+    def sub(self, a, b):
+        return a - b
+
     def neg(self, a):
         return -a
 
@@ -202,6 +224,9 @@ class PrimeField(Field):
 
     def add(self, a, b):
         return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
 
     def neg(self, a):
         return (-a) % self.p
@@ -275,6 +300,7 @@ class ExtensionField(Field):
         self.order = p**k
         self.modulus = _least_irreducible(self.base, k)
         self.name = "GF(%d^%d)" % (p, k)
+        self._log = self._exp = None  # loaded on the first mul or inv
 
     def zero(self):
         return (0,) * self.k
@@ -296,17 +322,49 @@ class ExtensionField(Field):
 
     def add(self, a, b):
         p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        return tuple([(x + y) % p for x, y in zip(a, b)])
+
+    def sub(self, a, b):
+        p = self.p
+        return tuple([(x - y) % p for x, y in zip(a, b)])
 
     def neg(self, a):
         p = self.p
-        return tuple((-x) % p for x in a)
+        return tuple([-x % p for x in a])
 
-    def mul(self, a, b):
+    def _load_tables(self):
+        """Fetch or build this field's log/antilog tables; above
+        EXT_TABLE_MAX_ORDER the log table is empty."""
+        key = (self.p, self.k)
+        if key not in _EXT_TABLES:
+            _EXT_TABLES[key] = (_log_tables(self)
+                                if self.order <= EXT_TABLE_MAX_ORDER
+                                else ({}, []))
+        self._log, self._exp = _EXT_TABLES[key]
+
+    def _poly_mul(self, a, b):
         prod = P.mul(self.base, self._lift(a), self._lift(b))
         return self._pad(P.mod(self.base, prod, self.modulus))
 
+    def mul(self, a, b):
+        if self._log is None:
+            self._load_tables()
+        log = self._log
+        if not log:
+            return self._poly_mul(a, b)
+        i, j = log.get(a), log.get(b)  # 0 has no logarithm
+        if i is None or j is None:
+            return self.zero()
+        return self._exp[i + j]
+
     def inv(self, a):
+        if self._log is None:
+            self._load_tables()
+        if self._log:
+            i = self._log.get(a)
+            if i is None:
+                raise ZeroDivisionError("inverse of 0")
+            return self._exp[self.order - 1 - i]
         pa = self._lift(a)
         if not pa:
             raise ZeroDivisionError("inverse of 0")
@@ -363,6 +421,32 @@ class ExtensionField(Field):
 
     def _key(self):
         return ("GF", self.p, self.k)
+
+
+def _log_tables(F):
+    """(log, exp) of GF(p^k) for its first primitive element in the order
+    of ``elements()``, built by polynomial multiplication."""
+    B, q = F.base, F.order
+    primes, n, r = [], q - 1, 2
+    while r * r <= n:
+        if n % r == 0:
+            primes.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    if n > 1:
+        primes.append(n)
+    one = (B.one(),)
+    for g in F.nonzero_elements():
+        pg = F._lift(g)
+        if all(P.pow_mod(B, pg, (q - 1) // r, F.modulus) != one
+               for r in primes):
+            break
+    exp = [F.one()]
+    for _ in range(q - 2):
+        exp.append(F._poly_mul(exp[-1], g))
+    log = {x: i for i, x in enumerate(exp)}
+    return log, exp + exp
 
 
 def _least_irreducible(base, k):

@@ -2,9 +2,16 @@
 
 Matrices are lists of row lists of field payloads.  Everything here is
 plain Gaussian elimination; exactness makes pivoting trivial.
+
+Over a prime field GF(p) (``polynomials._prime``), ``rref`` works on the
+int payloads: it scales the pivot row with ``inv * x % p`` and eliminates
+with ``(x - f * y) % p``, with no field method call per entry.  The pivot
+order is the same on every path, so the echelon form is the same.
 """
 
 from __future__ import annotations
+
+from .polynomials import _prime
 
 
 def zeros(F, rows, cols):
@@ -68,22 +75,33 @@ def rref(F, mat):
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots = []
+    p = _prime(F)
+    is_zero = (0).__eq__ if p else F.is_zero
+    inv_, mul, sub = F.inv, F.mul, F.sub
     r = 0
     for c in range(cols):
         pivot = None
         for i in range(r, rows):
-            if not F.is_zero(m[i][c]):
+            if not is_zero(m[i][c]):
                 pivot = i
                 break
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = F.inv(m[r][c])
-        m[r] = [F.mul(inv, x) for x in m[r]]
-        for i in range(rows):
-            if i != r and not F.is_zero(m[i][c]):
+        if p:
+            inv = pow(m[r][c], p - 2, p)
+            top = m[r] = [inv * x % p for x in m[r]]
+            for i in range(rows):
                 f = m[i][c]
-                m[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[i], m[r])]
+                if f and i != r:
+                    m[i] = [(x - f * y) % p for x, y in zip(m[i], top)]
+        else:
+            inv = inv_(m[r][c])
+            top = m[r] = [mul(inv, x) for x in m[r]]
+            for i in range(rows):
+                if i != r and not is_zero(m[i][c]):
+                    f = m[i][c]
+                    m[i] = [sub(x, mul(f, y)) for x, y in zip(m[i], top)]
         pivots.append(c)
         r += 1
         if r == rows:

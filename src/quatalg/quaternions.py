@@ -463,16 +463,14 @@ class TensorPresentation:
                         for v in (xj, yj):
                             if not u.commutes_with(v):
                                 return False
-        # the factors must span: products of factor monomials have rank 4^n
-        F = A.field
-        rows = []
-        for combo in itertools.product(*[
-                [A.one(), x, y, x * y] for (x, y) in self.generators]):
-            w = A.one()
-            for e in combo:
-                w = w * e
-            rows.append(list(w.coords))
-        return linalg.rank(F, rows) == A.dim
+        # the factors must span: products of factor monomials have rank
+        # 4^n; each product extends a product of the earlier factors, in
+        # the order of itertools.product
+        words = [A.one()]
+        for x, y in self.generators:
+            monomials = [A.one(), x, y, x * y]
+            words = [w * e for w in words for e in monomials]
+        return linalg.rank(A.field, [list(w.coords) for w in words]) == A.dim
 
     def to_json(self):
         return {
